@@ -22,6 +22,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -87,6 +88,11 @@ class AcousticChannel {
   void emit(SourceId id, Waveform sound, double start_time_s,
             EmissionTag tag);
 
+  /// Same, sharing immutable samples: a speaker that plays one tone many
+  /// times hands the channel the same buffer every time.
+  void emit(SourceId id, std::shared_ptr<const Waveform> sound,
+            double start_time_s, EmissionTag tag = {});
+
   /// Copies the tags of every tagged emission overlapping
   /// [start_s, end_s) into `out` (at most out.size(); excess is
   /// truncated).  Returns the number written.  Zero-allocation: this is
@@ -115,24 +121,42 @@ class AcousticChannel {
   /// propagation delay (0 if none).
   double last_emission_end_s() const noexcept;
 
+  /// Scheduled (non-ambient) emissions, and the samples of the i-th in
+  /// start order.  Lets tests see which emissions share one buffer.
+  std::size_t emission_count() const noexcept { return emissions_.size(); }
+  const Waveform& emission_sound(std::size_t i) const {
+    return *emissions_.at(i).sound;
+  }
+
  private:
   struct Source {
     std::string name;
     Position position;
   };
   struct Emission {
-    Waveform sound;
+    std::shared_ptr<const Waveform> sound;
     double start_s = 0.0;
     SourceId source = 0;
-    bool ambient = false;
     bool loop = false;
     EmissionTag tag{};
   };
 
+  /// Index of the first emission that can still be sounding at `t_s`
+  /// for a listener at most `max_flight_s` of flight time away.
+  std::size_t first_audible_at(double t_s, double max_flight_s) const noexcept;
+
+  /// Adds `gain * e.sound` delayed by `flight_s` into `out`, which holds
+  /// the samples from `start_time_s` on.
+  void mix(const Emission& e, double gain, double flight_s,
+           double start_time_s, std::span<double> out) const noexcept;
+
   double sample_rate_;
   double speed_of_sound_ = 0.0;
   std::vector<Source> sources_;
+  // Sorted by start_s; equal starts keep emit order.  Samples are never
+  // mutated after emit, so emissions may share them.
   std::vector<Emission> emissions_;
+  std::size_t longest_emission_ = 0;  ///< samples, over emissions_
   std::vector<Emission> ambient_;
 };
 

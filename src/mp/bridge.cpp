@@ -1,5 +1,7 @@
 #include "mp/bridge.h"
+
 #include <algorithm>
+#include <bit>
 
 #include "audio/synth.h"
 #include "obs/journal.h"
@@ -31,7 +33,8 @@ void PiSpeakerBridge::on_wire(std::span<const std::uint8_t> wire) {
   play(*msg);
 }
 
-void PiSpeakerBridge::play(const MpMessage& msg) {
+std::shared_ptr<const audio::Waveform> PiSpeakerBridge::tone_for(
+    const MpMessage& msg) {
   audio::ToneSpec spec;
   spec.frequency_hz = msg.frequency_hz;
   spec.duration_s = msg.duration_s;
@@ -40,8 +43,22 @@ void PiSpeakerBridge::play(const MpMessage& msg) {
   // inside a listening block would otherwise splatter energy across the
   // 20 Hz frequency grid and register as other devices' symbols.
   spec.fade_s = std::min(0.015, msg.duration_s / 3.0);
+  const ToneKey key{std::bit_cast<std::uint64_t>(spec.frequency_hz),
+                    std::bit_cast<std::uint64_t>(spec.duration_s),
+                    std::bit_cast<std::uint64_t>(spec.amplitude),
+                    std::bit_cast<std::uint64_t>(spec.fade_s)};
+  auto& tone = tones_[key];
+  if (!tone) {
+    tone = std::make_shared<const audio::Waveform>(
+        audio::make_tone(spec, channel_.sample_rate()));
+  }
+  return tone;
+}
+
+void PiSpeakerBridge::play(const MpMessage& msg) {
   const double start_s =
       net::to_seconds(loop_.now() + processing_delay_);
+  audio::EmissionTag tag{};
   obs::Journal& journal = obs::Journal::global();
   if (journal.enabled()) {
     // Ground truth for the scoreboard: this exact tone left this
@@ -55,13 +72,9 @@ void PiSpeakerBridge::play(const MpMessage& msg) {
     record.aux = source_;
     record.mic = journal_mic_;
     obs::set_journal_label(record, channel_.source_name(source_));
-    const audio::EmissionTag tag{journal.append(record), msg.frequency_hz};
-    channel_.emit(source_, audio::make_tone(spec, channel_.sample_rate()),
-                  start_s, tag);
-  } else {
-    channel_.emit(source_, audio::make_tone(spec, channel_.sample_rate()),
-                  start_s);
+    tag = {journal.append(record), msg.frequency_hz};
   }
+  channel_.emit(source_, tone_for(msg), start_s, tag);
   ++played_;
   played_counter_->inc();
 }

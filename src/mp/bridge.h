@@ -7,7 +7,10 @@
 // events cannot queue unbounded sound.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <span>
 
 #include "audio/channel.h"
@@ -30,7 +33,9 @@ class PiSpeakerBridge {
   /// buffers are counted and ignored.
   void on_wire(std::span<const std::uint8_t> wire);
 
-  /// Delivers an already-decoded message.
+  /// Delivers an already-decoded message.  The tone's samples are
+  /// synthesised on the first play of its (frequency, duration,
+  /// intensity) and shared by every later play.
   void play(const MpMessage& msg);
 
   /// Scopes this bridge's kToneEmitted records to one microphone.  By
@@ -44,6 +49,12 @@ class PiSpeakerBridge {
   MpError last_error() const noexcept { return last_error_; }
 
  private:
+  /// Bit patterns of the ToneSpec fields the samples depend on:
+  /// frequency, duration, amplitude and fade (phase is always 0).
+  using ToneKey = std::array<std::uint64_t, 4>;
+
+  std::shared_ptr<const audio::Waveform> tone_for(const MpMessage& msg);
+
   net::EventLoop& loop_;
   audio::AcousticChannel& channel_;
   audio::SourceId source_;
@@ -52,6 +63,7 @@ class PiSpeakerBridge {
   std::uint64_t played_ = 0;
   std::uint64_t malformed_ = 0;
   MpError last_error_ = MpError::kNone;
+  std::map<ToneKey, std::shared_ptr<const audio::Waveform>> tones_;
   obs::Counter* played_counter_;
   obs::Counter* malformed_counter_;
 };

@@ -7,6 +7,7 @@
 #include <fstream>
 
 #include "audio/synth.h"
+#include "test_temp_dir.h"
 
 namespace mdn::audio {
 namespace {
@@ -14,7 +15,7 @@ namespace {
 class WavTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "mdn_wav_test";
+    dir_ = test_util::unique_test_dir();
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

@@ -9,6 +9,7 @@
 #include "audio/audio.h"
 #include "dsp/dsp.h"
 #include "mdn/mdn.h"
+#include "test_temp_dir.h"
 
 namespace mdn {
 namespace {
@@ -17,7 +18,7 @@ constexpr double kSampleRate = 48000.0;
 
 struct WavRoundTrip : ::testing::Test {
   void SetUp() override {
-    dir = std::filesystem::temp_directory_path() / "mdn_wav_roundtrip";
+    dir = test_util::unique_test_dir();
     std::filesystem::create_directories(dir);
   }
   void TearDown() override { std::filesystem::remove_all(dir); }

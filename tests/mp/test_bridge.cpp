@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+
+#include "audio/synth.h"
 #include "dsp/fft.h"
 #include "dsp/spectrum.h"
 #include "dsp/window.h"
@@ -131,6 +135,81 @@ TEST_F(BridgeFixture, DistanceAttenuatesBridgeOutput) {
   msg.intensity_db_spl = 94.0;
   far_bridge.play(msg);
   EXPECT_NEAR(tone_amplitude_at(750.0, 0.0, 0.1), 0.5, 0.05);
+}
+
+// --- tone reuse ------------------------------------------------------------
+//
+// The bridge synthesises each distinct tone once and shares its samples
+// with every later play.  What the air carries must not change.
+
+MpMessage tone_msg(double freq, double dur, double db) {
+  MpMessage msg;
+  msg.frequency_hz = freq;
+  msg.duration_s = dur;
+  msg.intensity_db_spl = db;
+  return msg;
+}
+
+/// The tone a bridge plays for `msg`, synthesised afresh.
+audio::Waveform fresh_tone(const MpMessage& msg) {
+  audio::ToneSpec spec;
+  spec.frequency_hz = msg.frequency_hz;
+  spec.duration_s = msg.duration_s;
+  spec.amplitude = audio::spl_to_amplitude(msg.intensity_db_spl);
+  spec.fade_s = std::min(0.015, msg.duration_s / 3.0);
+  return audio::make_tone(spec, kSampleRate);
+}
+
+bool bit_equal(const audio::Waveform& a, const audio::Waveform& b) {
+  return a.size() == b.size() &&
+         std::equal(a.samples().begin(), a.samples().end(),
+                    b.samples().begin(), [](double x, double y) {
+                      return std::bit_cast<std::uint64_t>(x) ==
+                             std::bit_cast<std::uint64_t>(y);
+                    });
+}
+
+TEST_F(BridgeFixture, RepeatedPlaysSoundLikeFreshTones) {
+  const MpMessage msg = tone_msg(880.0, 0.03, 80.0);
+  bridge.play(msg);
+  loop.run_until(20 * net::kMillisecond);  // second play overlaps the first
+  bridge.play(msg);
+
+  audio::AcousticChannel fresh(kSampleRate);
+  const auto fresh_source = fresh.add_source("pi", 1.0);
+  fresh.emit(fresh_source, fresh_tone(msg), 0.0);
+  fresh.emit(fresh_source, fresh_tone(msg), 0.02);
+
+  audio::Microphone mic_a({}, kSampleRate);
+  audio::Microphone mic_b({}, kSampleRate);
+  for (double t0 : {0.0, 0.025}) {
+    EXPECT_TRUE(bit_equal(mic_a.record(channel, t0, 0.025),
+                          mic_b.record(fresh, t0, 0.025)))
+        << "block at " << t0 << " s";
+  }
+}
+
+TEST_F(BridgeFixture, SecondPlayReusesTheFirstPlaysSamples) {
+  const MpMessage msg = tone_msg(700.0, 0.03, 70.0);
+  bridge.play(msg);
+  bridge.play(msg);
+  ASSERT_EQ(channel.emission_count(), 2u);
+  EXPECT_EQ(&channel.emission_sound(0), &channel.emission_sound(1));
+}
+
+TEST_F(BridgeFixture, TonesDifferingInIntensityOrDurationAreNotAliased) {
+  // Both durations get the same 15 ms fade, so only the duration differs.
+  const MpMessage base = tone_msg(700.0, 0.05, 70.0);
+  const MpMessage louder = tone_msg(700.0, 0.05, 76.0);
+  const MpMessage longer = tone_msg(700.0, 0.06, 70.0);
+  bridge.play(base);
+  bridge.play(louder);
+  bridge.play(longer);
+  ASSERT_EQ(channel.emission_count(), 3u);
+  // Equal starts keep play order.
+  EXPECT_TRUE(bit_equal(channel.emission_sound(0), fresh_tone(base)));
+  EXPECT_TRUE(bit_equal(channel.emission_sound(1), fresh_tone(louder)));
+  EXPECT_TRUE(bit_equal(channel.emission_sound(2), fresh_tone(longer)));
 }
 
 }  // namespace
