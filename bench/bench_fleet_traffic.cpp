@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -76,7 +77,33 @@ struct RunResult {
   // Registry time series sampled at a fixed sim cadence (obs::Timeline).
   double timeline_packets_delta = 0.0;
   std::string timeline_jsonl;
+  // Wall-time stages of this run (us per call, ms summed over the run):
+  // the listening controller's record and detect, and TrafficGen's
+  // batches, which synchronously run switch receive, reporters,
+  // emitters and bridge plays.
+  obs::HistogramSnapshot record_wall, detect_wall, batch_wall;
 };
+
+/// The stage wall-time histograms TrafficGen and the controllers feed.
+constexpr const char* kRecordWall = "mdn/controller/record_wall_ns";
+constexpr const char* kDetectWall = "mdn/controller/detect_wall_ns";
+constexpr const char* kBatchWall = "net/trafficgen/batch_wall_ns";
+
+obs::HistogramSnapshot wall_snapshot(const char* name) {
+  return obs::Registry::global().histogram(name).snapshot();
+}
+
+/// What a process-wide histogram recorded between two snapshots.
+obs::HistogramSnapshot since(const obs::HistogramSnapshot& before,
+                             const char* name) {
+  obs::HistogramSnapshot d = wall_snapshot(name);
+  d.count -= before.count;
+  d.sum -= before.sum;
+  for (std::size_t i = 0; i < d.buckets.size(); ++i) {
+    d.buckets[i] -= before.buckets[i];
+  }
+  return d;
+}
 
 RunResult run_fleet(const Params& p, double skew, double churn_fpm) {
   obs::Journal::global().enable(1u << 18);
@@ -132,6 +159,9 @@ RunResult run_fleet(const Params& p, double skew, double churn_fpm) {
 
   const std::uint64_t dispatched_before =
       obs::Registry::global().counter("net/loop/events_dispatched").value();
+  const auto record0 = wall_snapshot(kRecordWall);
+  const auto detect0 = wall_snapshot(kDetectWall);
+  const auto batch0 = wall_snapshot(kBatchWall);
   const auto t0 = std::chrono::steady_clock::now();
   loop.run();
   const double wall_s = std::chrono::duration<double>(
@@ -183,6 +213,9 @@ RunResult run_fleet(const Params& p, double skew, double churn_fpm) {
   r.stage_prom = profiler.to_prometheus();
   r.timeline_packets_delta = timeline.rollup(0).delta;
   r.timeline_jsonl = timeline.to_timeline_jsonl();
+  r.record_wall = since(record0, kRecordWall);
+  r.detect_wall = since(detect0, kDetectWall);
+  r.batch_wall = since(batch0, kBatchWall);
   return r;
 }
 
@@ -287,6 +320,16 @@ int main(int argc, char** argv) {
                   zipf_churn.ring_wait_p99_ms, "ms");
   bench::print_kv("timeline packet delta (zipf+churn)",
                   zipf_churn.timeline_packets_delta);
+  const std::pair<const char*, const obs::HistogramSnapshot*> walls[] = {
+      {"record", &zipf_churn.record_wall},
+      {"detect", &zipf_churn.detect_wall},
+      {"trafficgen batch", &zipf_churn.batch_wall}};
+  for (const auto& [stage, hist] : walls) {
+    bench::print_kv(std::string("wall ") + stage + " p50 (zipf+churn)",
+                    hist->quantile(0.5) / 1e3, "us");
+    bench::print_kv(std::string("wall ") + stage + " total (zipf+churn)",
+                    hist->sum / 1e6, "ms");
+  }
   bench::events_per_sec("packet", total_packets, total_wall);
   bench::events_per_sec("loop", total_loop_events, total_wall);
 

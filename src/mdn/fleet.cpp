@@ -51,19 +51,7 @@ Fleet::Fleet(net::EventLoop& loop, const FleetConfig& config)
           *room.controller, *room.plan, unit.hh_device, config_.hh);
       unit.ps_detector = std::make_unique<PortScanDetector>(
           *room.controller, *room.plan, unit.ps_device, config_.ps);
-      unit.hh_packets.assign(config_.hh_bins, 0);
       room.switches.push_back(std::move(unit));
-      // Workload-side ground truth: count packets per heavy-hitter bin
-      // at the same hook level the reporter keys tones from.  Registered
-      // after the unit reaches its final slot so the captured addresses
-      // survive (vector is reserved; elements never move again).
-      SwitchUnit& placed = room.switches.back();
-      auto* reporter = placed.hh_reporter.get();
-      auto* counts = &placed.hh_packets;
-      placed.sw->add_packet_hook(
-          [reporter, counts](const net::Packet& pkt, std::size_t) {
-            ++(*counts)[reporter->bin_for(pkt.flow)];
-          });
     }
   }
 }

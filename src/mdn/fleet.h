@@ -65,9 +65,6 @@ class Fleet {
     std::unique_ptr<PortScanDetector> ps_detector;
     DeviceId hh_device = 0;
     DeviceId ps_device = 0;
-    /// Packets per heavy-hitter bin, counted at the switch hook — the
-    /// workload-side ground truth alert metrics compare against.
-    std::vector<std::uint64_t> hh_packets;
   };
 
   struct Room {

@@ -10,9 +10,13 @@ HeavyHitterReporter::HeavyHitterReporter(net::Switch& sw,
                                          DeviceId device,
                                          HeavyHitterConfig config)
     : emitter_(emitter), plan_(plan), device_(device), config_(config) {
+  // Police first: most packets land inside the emitter's minimum gap,
+  // and their flow hash would only feed a suppressed tone.
   sw.add_packet_hook([this](const net::Packet& pkt, std::size_t) {
-    emitter_.emit(frequency_for(pkt.flow), config_.tone_duration_s,
-                  config_.intensity_db_spl);
+    if (emitter_.admit()) {
+      emitter_.send(frequency_for(pkt.flow), config_.tone_duration_s,
+                    config_.intensity_db_spl);
+    }
   });
 }
 

@@ -9,8 +9,10 @@ PortScanReporter::PortScanReporter(net::Switch& sw, mp::MpEmitter& emitter,
                                    DeviceId device, PortScanConfig config)
     : emitter_(emitter), plan_(plan), device_(device), config_(config) {
   sw.add_packet_hook([this](const net::Packet& pkt, std::size_t) {
-    emitter_.emit(frequency_for_port(pkt.flow.dst_port),
-                  config_.tone_duration_s, config_.intensity_db_spl);
+    if (emitter_.admit()) {
+      emitter_.send(frequency_for_port(pkt.flow.dst_port),
+                    config_.tone_duration_s, config_.intensity_db_spl);
+    }
   });
 }
 

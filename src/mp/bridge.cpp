@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "audio/synth.h"
 #include "obs/journal.h"
 
 namespace mdn::mp {
@@ -33,26 +32,30 @@ void PiSpeakerBridge::on_wire(std::span<const std::uint8_t> wire) {
   play(*msg);
 }
 
-std::shared_ptr<const audio::Waveform> PiSpeakerBridge::tone_for(
-    const MpMessage& msg) {
-  audio::ToneSpec spec;
-  spec.frequency_hz = msg.frequency_hz;
-  spec.duration_s = msg.duration_s;
-  spec.amplitude = audio::spl_to_amplitude(msg.intensity_db_spl);
-  // Generous raised-cosine fades: a tone whose onset or offset lands
-  // inside a listening block would otherwise splatter energy across the
-  // 20 Hz frequency grid and register as other devices' symbols.
-  spec.fade_s = std::min(0.015, msg.duration_s / 3.0);
-  const ToneKey key{std::bit_cast<std::uint64_t>(spec.frequency_hz),
-                    std::bit_cast<std::uint64_t>(spec.duration_s),
-                    std::bit_cast<std::uint64_t>(spec.amplitude),
-                    std::bit_cast<std::uint64_t>(spec.fade_s)};
+ToneBank& ToneBank::global() {
+  static ToneBank bank;
+  return bank;
+}
+
+std::shared_ptr<const audio::Waveform> ToneBank::tone(
+    const audio::ToneSpec& spec, double sample_rate) {
+  const Key key{std::bit_cast<std::uint64_t>(spec.frequency_hz),
+                std::bit_cast<std::uint64_t>(spec.duration_s),
+                std::bit_cast<std::uint64_t>(spec.amplitude),
+                std::bit_cast<std::uint64_t>(spec.fade_s),
+                std::bit_cast<std::uint64_t>(sample_rate)};
+  common::MutexLock lock(mu_);
   auto& tone = tones_[key];
   if (!tone) {
     tone = std::make_shared<const audio::Waveform>(
-        audio::make_tone(spec, channel_.sample_rate()));
+        audio::make_tone(spec, sample_rate));
   }
   return tone;
+}
+
+std::size_t ToneBank::size() const {
+  common::MutexLock lock(mu_);
+  return tones_.size();
 }
 
 void PiSpeakerBridge::play(const MpMessage& msg) {
@@ -74,7 +77,17 @@ void PiSpeakerBridge::play(const MpMessage& msg) {
     obs::set_journal_label(record, channel_.source_name(source_));
     tag = {journal.append(record), msg.frequency_hz};
   }
-  channel_.emit(source_, tone_for(msg), start_s, tag);
+  audio::ToneSpec spec;
+  spec.frequency_hz = msg.frequency_hz;
+  spec.duration_s = msg.duration_s;
+  spec.amplitude = audio::spl_to_amplitude(msg.intensity_db_spl);
+  // Generous raised-cosine fades: a tone whose onset or offset lands
+  // inside a listening block would otherwise splatter energy across the
+  // 20 Hz frequency grid and register as other devices' symbols.
+  spec.fade_s = std::min(0.015, msg.duration_s / 3.0);
+  channel_.emit(source_,
+                ToneBank::global().tone(spec, channel_.sample_rate()),
+                start_s, tag);
   ++played_;
   played_counter_->inc();
 }
@@ -90,6 +103,12 @@ MpEmitter::MpEmitter(net::EventLoop& loop, PiSpeakerBridge& bridge,
 
 bool MpEmitter::emit(double frequency_hz, double duration_s,
                      double intensity_db_spl) {
+  if (!admit()) return false;
+  send(frequency_hz, duration_s, intensity_db_spl);
+  return true;
+}
+
+bool MpEmitter::admit() {
   const net::SimTime now = loop_.now();
   if (last_emit_ >= 0 && now - last_emit_ < min_gap_) {
     ++suppressed_;
@@ -97,7 +116,11 @@ bool MpEmitter::emit(double frequency_hz, double duration_s,
     return false;
   }
   last_emit_ = now;
+  return true;
+}
 
+void MpEmitter::send(double frequency_hz, double duration_s,
+                     double intensity_db_spl) {
   MpMessage msg;
   msg.frequency_hz = frequency_hz;
   msg.duration_s = duration_s;
@@ -108,7 +131,6 @@ bool MpEmitter::emit(double frequency_hz, double duration_s,
   bridge_.on_wire(marshal(msg));
   ++emitted_;
   emitted_counter_->inc();
-  return true;
 }
 
 }  // namespace mdn::mp

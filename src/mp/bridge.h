@@ -14,12 +14,45 @@
 #include <span>
 
 #include "audio/channel.h"
+#include "audio/synth.h"
+#include "common/mutex.h"
 #include "mp/message.h"
 #include "net/event_loop.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
 
 namespace mdn::mp {
+
+/// Process-wide bank of synthesised tones, shared by every bridge: rooms
+/// reuse one frequency plan, so a fleet's speakers play the same few
+/// hundred tones.  Each distinct (spec, sample rate) is synthesised once
+/// and its immutable samples are shared by every later play, so the bank
+/// holds one entry per distinct key ever played.
+class ToneBank {
+ public:
+  ToneBank() = default;
+  ToneBank(const ToneBank&) = delete;
+  ToneBank& operator=(const ToneBank&) = delete;
+
+  static ToneBank& global();
+
+  /// The samples of `spec` at `sample_rate`, synthesised on first use.
+  std::shared_ptr<const audio::Waveform> tone(const audio::ToneSpec& spec,
+                                              double sample_rate);
+
+  /// Number of distinct tones held.
+  std::size_t size() const;
+
+ private:
+  /// Bit patterns of the ToneSpec fields the samples depend on
+  /// (frequency, duration, amplitude, fade; phase is always 0) and of
+  /// the sample rate.
+  using Key = std::array<std::uint64_t, 5>;
+
+  mutable common::Mutex mu_;
+  std::map<Key, std::shared_ptr<const audio::Waveform>> tones_
+      MDN_GUARDED_BY(mu_);
+};
 
 class PiSpeakerBridge {
  public:
@@ -33,9 +66,9 @@ class PiSpeakerBridge {
   /// buffers are counted and ignored.
   void on_wire(std::span<const std::uint8_t> wire);
 
-  /// Delivers an already-decoded message.  The tone's samples are
-  /// synthesised on the first play of its (frequency, duration,
-  /// intensity) and shared by every later play.
+  /// Delivers an already-decoded message.  The tone's samples come from
+  /// ToneBank::global(), shared with every other play of the same
+  /// (frequency, duration, intensity) at this channel's sample rate.
   void play(const MpMessage& msg);
 
   /// Scopes this bridge's kToneEmitted records to one microphone.  By
@@ -49,12 +82,6 @@ class PiSpeakerBridge {
   MpError last_error() const noexcept { return last_error_; }
 
  private:
-  /// Bit patterns of the ToneSpec fields the samples depend on:
-  /// frequency, duration, amplitude and fade (phase is always 0).
-  using ToneKey = std::array<std::uint64_t, 4>;
-
-  std::shared_ptr<const audio::Waveform> tone_for(const MpMessage& msg);
-
   net::EventLoop& loop_;
   audio::AcousticChannel& channel_;
   audio::SourceId source_;
@@ -63,7 +90,6 @@ class PiSpeakerBridge {
   std::uint64_t played_ = 0;
   std::uint64_t malformed_ = 0;
   MpError last_error_ = MpError::kNone;
-  std::map<ToneKey, std::shared_ptr<const audio::Waveform>> tones_;
   obs::Counter* played_counter_;
   obs::Counter* malformed_counter_;
 };
@@ -78,8 +104,17 @@ class MpEmitter {
             net::SimTime min_gap = 0);
 
   /// Emits a tone now (subject to the rate police).  Returns false when
-  /// suppressed by the minimum-gap policy.
+  /// suppressed by the minimum-gap policy.  Same as admit(), then send()
+  /// when admitted.
   bool emit(double frequency_hz, double duration_s, double intensity_db_spl);
+
+  /// The rate police alone: claims the emission slot at the current sim
+  /// time and returns true, or counts a suppression and returns false.
+  /// Lets a hook skip computing a tone that would be suppressed anyway.
+  bool admit();
+
+  /// Marshals and plays a tone in the slot admit() just claimed.
+  void send(double frequency_hz, double duration_s, double intensity_db_spl);
 
   std::uint64_t emitted() const noexcept { return emitted_; }
   std::uint64_t suppressed() const noexcept { return suppressed_; }

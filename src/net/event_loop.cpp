@@ -1,7 +1,6 @@
 #include "net/event_loop.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 namespace mdn::net {
@@ -61,16 +60,29 @@ EventLoop::EventId EventLoop::schedule_in(SimTime delay, Callback cb) {
   return schedule_at(now_ + std::max<SimTime>(0, delay), std::move(cb));
 }
 
+namespace {
+
+// One firing of a periodic chain.  It hands itself on to the next
+// firing, so the pending event is the chain's only owner and destroying
+// the loop with the chain still scheduled frees the callback too.  The
+// chain must hold no reference to itself, or it would outlive the loop.
+struct PeriodicFiring {
+  EventLoop* loop;
+  SimTime period;
+  std::function<bool()> cb;
+
+  void operator()() {
+    // Nothing touches *this after the move: the event being dispatched
+    // is left with an empty callback and dies after this call returns.
+    if (cb()) loop->schedule_in(period, std::move(*this));
+  }
+};
+
+}  // namespace
+
 void EventLoop::schedule_periodic(SimTime first_delay, SimTime period,
                                   std::function<bool()> cb) {
-  // Each firing reschedules itself; the self-reference lives in a shared
-  // holder so the chain owns its own callback.
-  auto shared = std::make_shared<std::function<bool()>>(std::move(cb));
-  auto holder = std::make_shared<std::function<void()>>();
-  *holder = [this, shared, period, holder]() {
-    if ((*shared)()) schedule_in(period, *holder);
-  };
-  schedule_in(first_delay, *holder);
+  schedule_in(first_delay, PeriodicFiring{this, period, std::move(cb)});
 }
 
 void EventLoop::cancel(EventId id) {

@@ -36,7 +36,9 @@ TrafficGen::TrafficGen(EventLoop& loop, const TrafficGenConfig& config)
           &obs::Registry::global().counter("net/trafficgen/churn_events")),
       batches_counter_(
           &obs::Registry::global().counter("net/trafficgen/batches")),
-      flows_live_(&obs::Registry::global().gauge("net/trafficgen/flows_live")) {
+      flows_live_(&obs::Registry::global().gauge("net/trafficgen/flows_live")),
+      batch_wall_ns_(
+          &obs::Registry::global().histogram("net/trafficgen/batch_wall_ns")) {
   flows_live_->set(static_cast<std::int64_t>(population_.size()));
 }
 
@@ -46,6 +48,14 @@ void TrafficGen::add_target(Switch& sw, std::size_t in_port) {
 
 std::size_t TrafficGen::target_of(const FlowKey& flow) const {
   return flow_hash_jenkins(flow) % targets_.size();
+}
+
+std::size_t TrafficGen::target_of_rank(std::size_t rank) {
+  std::uint32_t& target = rank_target_[rank];
+  if (target == kNoTarget) {
+    target = static_cast<std::uint32_t>(target_of(population_.flow_at(rank)));
+  }
+  return target;
 }
 
 void TrafficGen::start() {
@@ -64,6 +74,7 @@ void TrafficGen::start() {
     scanners_.push_back(sc);
     scan_targets_.push_back(sc.target);
   }
+  rank_target_.assign(population_.size(), kNoTarget);
   const SimTime first = std::max(config_.start, loop_.now());
   window_start_ = first;
   loop_.schedule_at(std::min(first + config_.batch_interval, config_.stop),
@@ -103,6 +114,7 @@ void TrafficGen::deliver(const FlowKey& flow, std::size_t target) {
 }
 
 void TrafficGen::run_batch(SimTime until) {
+  obs::ScopedTimerNs timer(batch_wall_ns_);
   const SimTime window_end = std::min(until, config_.stop);
   const double dt_s = static_cast<double>(window_end - window_start_) /
                       static_cast<double>(kSecond);
@@ -113,7 +125,7 @@ void TrafficGen::run_batch(SimTime until) {
     churn_accum_ += config_.churn_fpm * dt_s / 60.0;
     while (churn_accum_ >= 1.0) {
       churn_accum_ -= 1.0;
-      population_.churn_one(rng_);
+      rank_target_[population_.churn_one(rng_)] = kNoTarget;
       ++churned_;
       churn_counter_->inc();
     }
@@ -158,8 +170,8 @@ void TrafficGen::run_batch(SimTime until) {
                 scan_batch_[next_scan].second.second);
         ++next_scan;
       }
-      const FlowKey& flow = population_.sample(rng_);
-      deliver(flow, target_of(flow));
+      const std::size_t rank = population_.sample_rank(rng_);
+      deliver(population_.flow_at(rank), target_of_rank(rank));
     }
     for (; next_scan < nscan; ++next_scan) {
       deliver(scan_batch_[next_scan].second.first,

@@ -13,7 +13,9 @@
 //
 // Flows shard to targets by flow_hash_jenkins (the second, independent
 // hash family) so one flow consistently hits one switch — the invariant
-// the §5 heavy-hitter attribution needs.  Optional port-scan overlays
+// the §5 heavy-hitter attribution needs.  Zipf traffic keeps drawing the
+// same few ranks, so each rank's shard is hashed once and cached until
+// churn replaces the rank's key.  Optional port-scan overlays
 // sweep sequential destination ports at chosen targets, providing the
 // ground truth for fleet-scale scan detection.
 //
@@ -111,6 +113,8 @@ class TrafficGen {
   };
 
   void run_batch(SimTime until);
+  /// target_of(population_.flow_at(rank)), cached per rank.
+  std::size_t target_of_rank(std::size_t rank);
   void deliver(const FlowKey& flow, std::size_t target);
   void note(const FlowKey& flow, std::size_t target);
 
@@ -126,6 +130,11 @@ class TrafficGen {
   std::vector<std::pair<std::uint64_t, std::pair<FlowKey, std::size_t>>>
       scan_batch_;
   std::vector<std::size_t> scan_targets_;
+  // Shard of the flow at each rank; kNoTarget until first drawn, and
+  // again after churn replaces the rank's key.  Sized at start(), once
+  // the target count is final.
+  static constexpr std::uint32_t kNoTarget = UINT32_MAX;
+  std::vector<std::uint32_t> rank_target_;
   SimTime window_start_ = 0;  ///< end of the last processed batch window
   double packet_accum_ = 0.0;
   double churn_accum_ = 0.0;
@@ -143,6 +152,9 @@ class TrafficGen {
   obs::Counter* churn_counter_;
   obs::Counter* batches_counter_;
   obs::Gauge* flows_live_;
+  // Wall time of one batch: the packets' synchronous switch receive,
+  // reporters, emitters and bridge plays.
+  obs::Histogram* batch_wall_ns_;
 };
 
 }  // namespace mdn::net

@@ -115,6 +115,28 @@ TEST(Fleet, ScoreboardIsMicScoped) {
   EXPECT_GT(r.mic1.recall(), 0.2);
 }
 
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+// Values recorded from run_small_fleet(1.26) before the per-packet and
+// per-tone path was optimised: speedups must not move a single packet,
+// tone or detection.  A change that means to alter the workload or the
+// detector re-records them and says so.
+constexpr std::uint64_t kGoldenTraceDigest = 1425807459965294297ULL;
+constexpr std::uint64_t kGoldenBoardDigest = 1695716449187891270ULL;
+
+TEST(Fleet, MatchesPinnedGoldenDigests) {
+  const FleetRun r = run_small_fleet(1.26);
+  EXPECT_EQ(r.digest, kGoldenTraceDigest);
+  EXPECT_EQ(fnv1a(r.board), kGoldenBoardDigest) << r.board;
+}
+
 TEST(Fleet, ReplaysByteIdentically) {
   const FleetRun a = run_small_fleet(1.26);
   const FleetRun b = run_small_fleet(1.26);

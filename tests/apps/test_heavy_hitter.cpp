@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "app_fixture.h"
 #include "net/traffic.h"
+#include "obs/journal.h"
+#include "obs/metrics.h"
 
 namespace mdn::core {
 namespace {
@@ -160,6 +164,42 @@ TEST_F(HeavyHitterTest, RatePolicingBoundsToneRate) {
   // 100 ms police -> at most ~21 tones despite 2000 packets.
   EXPECT_LE(bridge_->played(), 22u);
   EXPECT_GT(emitter_->suppressed(), 1500u);
+}
+
+TEST_F(HeavyHitterTest, SameInstantBurstKeysOneToneForTheFirstPacket) {
+  setup();
+  obs::Journal& journal = obs::Journal::global();
+  journal.enable(1024);
+  journal.clear();
+  auto& reg = obs::Registry::global();
+  const std::uint64_t emitted0 = reg.counter("mp/emitter/emitted").value();
+  const std::uint64_t suppressed0 =
+      reg.counter("mp/emitter/suppressed").value();
+
+  // Every packet arrives at one sim instant: the police admits the
+  // first and suppresses the rest before their flows are hashed.
+  constexpr std::uint16_t kBurst = 12;
+  for (std::uint16_t i = 0; i < kBurst; ++i) {
+    net::Packet pkt;
+    pkt.flow = flow(static_cast<std::uint16_t>(80 + i));
+    pkt.id = i + 1u;
+    sw_->receive(std::move(pkt), in_port_);
+  }
+
+  EXPECT_EQ(emitter_->emitted(), 1u);
+  EXPECT_EQ(emitter_->suppressed(), kBurst - 1u);
+  EXPECT_EQ(reg.counter("mp/emitter/emitted").value() - emitted0, 1u);
+  EXPECT_EQ(reg.counter("mp/emitter/suppressed").value() - suppressed0,
+            kBurst - 1u);
+  std::vector<double> tones;
+  for (const obs::JournalRecord& rec : journal.snapshot()) {
+    if (rec.kind == obs::JournalKind::kToneEmitted) {
+      tones.push_back(rec.frequency_hz);
+    }
+  }
+  journal.disable();
+  ASSERT_EQ(tones.size(), 1u);
+  EXPECT_EQ(tones[0], reporter_->frequency_for(flow(80)));
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "audio/synth.h"
 #include "dsp/fft.h"
@@ -151,13 +154,14 @@ MpMessage tone_msg(double freq, double dur, double db) {
 }
 
 /// The tone a bridge plays for `msg`, synthesised afresh.
-audio::Waveform fresh_tone(const MpMessage& msg) {
+audio::Waveform fresh_tone(const MpMessage& msg,
+                           double sample_rate = kSampleRate) {
   audio::ToneSpec spec;
   spec.frequency_hz = msg.frequency_hz;
   spec.duration_s = msg.duration_s;
   spec.amplitude = audio::spl_to_amplitude(msg.intensity_db_spl);
   spec.fade_s = std::min(0.015, msg.duration_s / 3.0);
-  return audio::make_tone(spec, kSampleRate);
+  return audio::make_tone(spec, sample_rate);
 }
 
 bool bit_equal(const audio::Waveform& a, const audio::Waveform& b) {
@@ -210,6 +214,58 @@ TEST_F(BridgeFixture, TonesDifferingInIntensityOrDurationAreNotAliased) {
   EXPECT_TRUE(bit_equal(channel.emission_sound(0), fresh_tone(base)));
   EXPECT_TRUE(bit_equal(channel.emission_sound(1), fresh_tone(louder)));
   EXPECT_TRUE(bit_equal(channel.emission_sound(2), fresh_tone(longer)));
+}
+
+// --- process-wide tone bank -------------------------------------------------
+//
+// Every bridge draws its samples from ToneBank::global(): bridges on
+// different channels of one sample rate share one copy of each tone.
+
+TEST(ToneBank, BridgesOnChannelsOfOneRateShareSamples) {
+  net::EventLoop loop;
+  audio::AcousticChannel room_a(kSampleRate);
+  audio::AcousticChannel room_b(kSampleRate);
+  PiSpeakerBridge a(loop, room_a, room_a.add_source("pi-a", 1.0), 0);
+  PiSpeakerBridge b(loop, room_b, room_b.add_source("pi-b", 1.0), 0);
+  const MpMessage msg = tone_msg(1130.0, 0.03, 72.0);
+  a.play(msg);
+  b.play(msg);
+  EXPECT_EQ(&room_a.emission_sound(0), &room_b.emission_sound(0));
+  EXPECT_TRUE(bit_equal(room_b.emission_sound(0), fresh_tone(msg)));
+}
+
+TEST(ToneBank, ChannelsOfDifferentRatesDoNotAlias) {
+  net::EventLoop loop;
+  audio::AcousticChannel fast(kSampleRate);
+  audio::AcousticChannel slow(kSampleRate / 2);
+  PiSpeakerBridge a(loop, fast, fast.add_source("pi-fast", 1.0), 0);
+  PiSpeakerBridge b(loop, slow, slow.add_source("pi-slow", 1.0), 0);
+  const MpMessage msg = tone_msg(1150.0, 0.03, 72.0);
+  a.play(msg);
+  b.play(msg);
+  EXPECT_NE(&fast.emission_sound(0), &slow.emission_sound(0));
+  EXPECT_TRUE(bit_equal(fast.emission_sound(0), fresh_tone(msg)));
+  EXPECT_TRUE(
+      bit_equal(slow.emission_sound(0), fresh_tone(msg, kSampleRate / 2)));
+}
+
+TEST(ToneBank, HoldsOneEntryPerDistinctTone) {
+  net::EventLoop loop;
+  audio::AcousticChannel room(kSampleRate);
+  std::vector<std::unique_ptr<PiSpeakerBridge>> bridges;
+  for (int i = 0; i < 4; ++i) {
+    bridges.push_back(std::make_unique<PiSpeakerBridge>(
+        loop, room, room.add_source("pi" + std::to_string(i), 1.0), 0));
+  }
+  const std::size_t before = ToneBank::global().size();
+  for (int round = 0; round < 5; ++round) {
+    for (auto& bridge : bridges) {
+      bridge->play(tone_msg(1173.0, 0.03, 72.0));
+      bridge->play(tone_msg(1193.0, 0.03, 72.0));
+    }
+  }
+  EXPECT_EQ(room.emission_count(), 40u);
+  EXPECT_EQ(ToneBank::global().size(), before + 2);
 }
 
 }  // namespace

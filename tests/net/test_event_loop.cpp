@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 namespace mdn::net {
@@ -121,6 +122,23 @@ TEST(EventLoop, PeriodicFirstDelayIndependentOfPeriod) {
   });
   loop.run();
   EXPECT_EQ(fires, (std::vector<SimTime>{5, 105, 205}));
+}
+
+TEST(EventLoop, DestroyingTheLoopFreesAPendingPeriodicChain) {
+  // A chain still scheduled when its loop dies must be freed with it:
+  // the callback's captures (here a sentinel) may not outlive the loop.
+  auto sentinel = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = sentinel;
+  {
+    EventLoop loop;
+    loop.schedule_periodic(10, 10, [sentinel] { return ++*sentinel < 100; });
+    sentinel.reset();
+    loop.run_until(35);  // three firings, the fourth still pending
+    ASSERT_FALSE(watch.expired());
+    EXPECT_EQ(*watch.lock(), 3);
+    EXPECT_EQ(loop.pending(), 1u);
+  }
+  EXPECT_TRUE(watch.expired());
 }
 
 TEST(EventLoop, NestedSchedulingDuringDispatch) {

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/event_loop.h"
@@ -79,8 +82,8 @@ TEST_F(GenFixture, BatchingSchedulesOneEventPerWindow) {
   EXPECT_EQ(gen.packets(), 10000u);
 }
 
-TEST_F(GenFixture, SameSeedYieldsByteIdenticalGoldenTrace) {
-  add_sinks(3);
+// Zipf traffic with churn and a scanner, three targets.
+TrafficGenConfig golden_config() {
   TrafficGenConfig cfg;
   cfg.population.total_flows = 256;
   cfg.population.zipf_skew = 1.26;
@@ -91,30 +94,39 @@ TEST_F(GenFixture, SameSeedYieldsByteIdenticalGoldenTrace) {
   cfg.scan_count = 1;
   cfg.scan_pps = 40.0;
   cfg.record_trace = true;
+  return cfg;
+}
 
-  auto run = [&]() {
-    EventLoop l;
-    std::vector<std::unique_ptr<Switch>> sw;
-    TrafficGen gen(l, cfg);
-    for (int i = 0; i < 3; ++i) {
-      sw.push_back(std::make_unique<Switch>(l, "s" + std::to_string(i)));
-      gen.add_target(*sw.back());
-    }
-    gen.start();
-    l.run();
-    return std::pair<std::uint64_t, std::string>(gen.trace_digest(),
-                                                 gen.trace_text());
-  };
+/// (trace_digest, trace_text) of one run of `cfg` on a fresh loop.
+std::pair<std::uint64_t, std::string> run_golden(const TrafficGenConfig& cfg) {
+  EventLoop l;
+  std::vector<std::unique_ptr<Switch>> sw;
+  TrafficGen gen(l, cfg);
+  for (int i = 0; i < 3; ++i) {
+    sw.push_back(std::make_unique<Switch>(l, "s" + std::to_string(i)));
+    gen.add_target(*sw.back());
+  }
+  gen.start();
+  l.run();
+  return {gen.trace_digest(), gen.trace_text()};
+}
 
-  const auto a = run();
-  const auto b = run();
+TEST_F(GenFixture, SameSeedYieldsByteIdenticalGoldenTrace) {
+  TrafficGenConfig cfg = golden_config();
+  const auto a = run_golden(cfg);
+  const auto b = run_golden(cfg);
   EXPECT_EQ(a.first, b.first);
   EXPECT_EQ(a.second, b.second) << "trace text must be byte-identical";
   EXPECT_FALSE(a.second.empty());
 
   cfg.seed = 1235;
-  const auto c = run();
+  const auto c = run_golden(cfg);
   EXPECT_NE(a.first, c.first) << "different seed, different trace";
+}
+
+TEST_F(GenFixture, GoldenTraceMatchesPinnedDigest) {
+  // Recorded before the per-rank shard cache existed.
+  EXPECT_EQ(run_golden(golden_config()).first, 18320133301408565121ULL);
 }
 
 TEST_F(GenFixture, ChurnConvergesToConfiguredRate) {
@@ -210,6 +222,43 @@ TEST_F(GenFixture, TargetShardingIsStable) {
     EXPECT_EQ(gen.target_of(f), t);
     EXPECT_LT(t, 5u);
   }
+}
+
+TEST_F(GenFixture, ChurnedRanksShardByTheirNewKey) {
+  // Heavy churn over a small Zipf population: the hot ranks get new keys
+  // many times, and each packet must still reach target_of(its key), not
+  // the shard cached for the rank's previous key.
+  add_sinks(5);
+  TrafficGenConfig cfg;
+  cfg.population.total_flows = 64;
+  cfg.population.zipf_skew = 1.26;
+  cfg.rate_pps = 4000.0;
+  cfg.churn_fpm = 6000.0;
+  cfg.stop = 2 * kSecond;
+  TrafficGen gen = make_gen(cfg);
+
+  std::set<std::string> initial_keys;
+  const FlowPopulation initial(cfg.population);
+  for (std::size_t r = 0; r < initial.size(); ++r) {
+    initial_keys.insert(initial.flow_at(r).to_string());
+  }
+  std::uint64_t misrouted = 0, churned_key_packets = 0;
+  for (std::size_t i = 0; i < sinks.size(); ++i) {
+    sinks[i]->add_packet_hook([&, i](const Packet& pkt, std::size_t) {
+      if (gen.target_of(pkt.flow) != i) ++misrouted;
+      if (initial_keys.count(pkt.flow.to_string()) == 0) {
+        ++churned_key_packets;
+      }
+    });
+  }
+  gen.start();
+  loop.run();
+
+  EXPECT_EQ(gen.churn_events(), 200u);
+  EXPECT_GT(churned_key_packets, 1000u) << "hot ranks carry churned keys";
+  EXPECT_EQ(misrouted, 0u);
+  // Recorded before the per-rank shard cache existed.
+  EXPECT_EQ(gen.trace_digest(), 5575824288194339082ULL);
 }
 
 }  // namespace
