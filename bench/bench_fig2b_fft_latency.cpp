@@ -53,7 +53,7 @@ mdn::audio::Waveform sample_block(std::uint64_t seed) {
 std::vector<mdn::core::DetectedTone> detect_unplanned(
     std::span<const double> block, std::span<const double> window,
     const mdn::core::ToneDetectorConfig& cfg, mdn::obs::Histogram* hist) {
-  mdn::obs::ScopedTimerNs timer(hist);
+  mdn::obs::Span span(hist);
   const std::size_t n = std::min(block.size(), cfg.fft_size);
   std::vector<mdn::dsp::Complex> data(cfg.fft_size);
   for (std::size_t i = 0; i < n; ++i) {
@@ -167,7 +167,7 @@ int run_cdf(int samples) {
   for (int i = 0; i < samples; ++i) {
     const auto block = sample_block(static_cast<std::uint64_t>(i));
     {
-      mdn::obs::TraceSpan span(&tracer, "detect", track, i * kHopNs);
+      mdn::obs::Span span(nullptr, &tracer, "detect", track, i * kHopNs);
       detector.detect_into(block.samples(), tones);
       benchmark::DoNotOptimize(tones.data());
     }

@@ -10,7 +10,9 @@ Real-time purity
     set_levels_into, FftPlan::execute / execute_batch_soa,
     RealFftPlan::execute_batch, the SIMD kernel dispatch
     (simd::active_kernels), GoertzelBank evaluation, RingBuffer
-    push/pop, Journal::append, WorkerPool batch processing
+    push/pop, Journal::append, the shared onset matcher
+    (core::match_watches), the worker drain-or-close step
+    (rt::drain_or_close), WorkerPool batch processing
     (process_batch), the MicSignalEstimator health hooks
     (begin_block / observe_watch / end_block / queue_alert) and the
     metrics-timeline sampling hook (Timeline::sample — it runs inside

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "mdn/watch_matcher.h"
 #include "obs/journal.h"
 
 namespace mdn::core {
@@ -39,12 +40,14 @@ MdnController::MdnController(net::EventLoop& loop,
 }
 
 void MdnController::watch(double frequency_hz, Handler handler) {
-  watches_.push_back({frequency_hz, std::move(handler), false});
+  watch_hz_.push_back(frequency_hz);
+  handlers_.push_back(std::move(handler));
+  latch_.push_back(0);
 }
 
 void MdnController::watch_all(std::span<const double> watch_hz,
                               Handler handler) {
-  for (double f : watch_hz) watches_.push_back({f, handler, false});
+  for (double f : watch_hz) watch(f, handler);
 }
 
 void MdnController::observe_blocks(BlockObserver observer) {
@@ -68,8 +71,8 @@ bool MdnController::tick() {
   // Stage 1: record the last hop off the acoustic channel.
   audio::Waveform block(channel_.sample_rate());
   {
-    obs::TraceSpan span(&tracer, "controller/record", trace_track_, sim_now);
-    obs::ScopedTimerNs timer(record_wall_ns_);
+    obs::Span span(record_wall_ns_, &tracer, "controller/record", trace_track_,
+                   sim_now);
     block = microphone_.record(channel_, start_s, config_.hop_s);
   }
   ++blocks_;
@@ -95,7 +98,8 @@ bool MdnController::tick() {
   // detection happens on its sharded workers and onsets come back
   // through the ordered merge, not through this controller's watches.
   if (config_.sink != nullptr) {
-    obs::TraceSpan span(&tracer, "controller/submit", trace_track_, sim_now);
+    obs::Span span(nullptr, &tracer, "controller/submit", trace_track_,
+                   sim_now);
     config_.sink->submit_block(
         config_.sink_mic, start_s, block.samples(),
         std::span<const audio::EmissionTag>(tag_scratch_.data(), ntags));
@@ -126,8 +130,8 @@ bool MdnController::tick() {
   obs::BlockSignalStats stats;
   obs::MicSignalEstimator* est = nullptr;
   {
-    obs::TraceSpan span(&tracer, "controller/detect", trace_track_, sim_now);
-    obs::ScopedTimerNs timer(detect_wall_ns_);
+    obs::Span span(detect_wall_ns_, &tracer, "controller/detect", trace_track_,
+                   sim_now);
     detector_.detect_into(block.samples(), tones,
                           config_.health != nullptr ? &stats : nullptr);
   }
@@ -136,69 +140,39 @@ bool MdnController::tick() {
     est->begin_block(now_s, stats);
   }
 
-  // Stage 3: match detected peaks against the watch list.
+  // Stage 3: match peaks against the watch list; the hook's "onset"
+  // record becomes the health estimator's evidence for the hearing.
   {
-    obs::TraceSpan span(&tracer, "controller/match", trace_track_, sim_now);
-    obs::ScopedTimerNs timer(match_wall_ns_);
-    for (std::size_t wi = 0; wi < watches_.size(); ++wi) {
-      Watch& w = watches_[wi];
-      double best_amp = 0.0;
-      bool found = false;
-      for (const auto& t : tones) {
-        if (std::abs(t.frequency_hz - w.frequency_hz) <=
-            detector_.config().match_tolerance_hz) {
-          found = true;
-          best_amp = std::max(best_amp, t.amplitude);
-        }
+    obs::Span span(match_wall_ns_, &tracer, "controller/match", trace_track_,
+                   sim_now);
+    const auto on_onset = [&](const WatchOnset& onset) {
+      ToneEvent event{start_s, onset.frequency_hz, onset.amplitude};
+      if (journal.enabled()) {
+        // Detection record: cite the emitted tone whose frequency this
+        // watch matched, when one overlapped the block (else 0 — a
+        // false positive the scoreboard will count).
+        obs::JournalRecord rec;
+        rec.kind = obs::JournalKind::kToneDetected;
+        rec.sim_ns = sim_now;
+        rec.frequency_hz = onset.frequency_hz;
+        rec.value = onset.amplitude;
+        rec.mic = config_.sink_mic;
+        rec.watch = static_cast<std::int32_t>(onset.watch);
+        rec.cause = onset.cause;
+        rec.cause2 = ingest_id;
+        obs::set_journal_label(rec, "onset");
+        event.cause = journal.append(rec);
       }
-      // Ground-truth evidence for the health estimator: the overlapping
-      // emission tag (upgraded to the detection record below on onset).
-      obs::CauseId watch_evidence = 0;
-      if (est != nullptr && found) {
-        for (std::size_t t = 0; t < ntags; ++t) {
-          if (std::abs(tag_scratch_[t].frequency_hz - w.frequency_hz) <=
-              detector_.config().match_tolerance_hz) {
-            watch_evidence = tag_scratch_[t].cause;
-            break;
-          }
-        }
-      }
-      const bool onset = found && !w.active;
-      if (onset) {
-        ToneEvent event{start_s, w.frequency_hz, best_amp};
-        if (journal.enabled()) {
-          // Detection record: cite the emitted tone whose frequency this
-          // watch matched, when one overlapped the block (else 0 — a
-          // false positive the scoreboard will count).
-          obs::JournalRecord rec;
-          rec.kind = obs::JournalKind::kToneDetected;
-          rec.sim_ns = sim_now;
-          rec.frequency_hz = w.frequency_hz;
-          rec.value = best_amp;
-          rec.mic = config_.sink_mic;
-          rec.watch = static_cast<std::int32_t>(wi);
-          rec.cause2 = ingest_id;
-          for (std::size_t t = 0; t < ntags; ++t) {
-            if (std::abs(tag_scratch_[t].frequency_hz - w.frequency_hz) <=
-                detector_.config().match_tolerance_hz) {
-              rec.cause = tag_scratch_[t].cause;
-              break;
-            }
-          }
-          obs::set_journal_label(rec, "onset");
-          event.cause = journal.append(rec);
-          if (event.cause != 0) watch_evidence = event.cause;
-        }
-        log_.push_back(event);
-        onsets_counter_->inc();
-        tracer.instant("onset", trace_track_, sim_now);
-        if (w.handler) w.handler(event);
-      }
-      if (est != nullptr) {
-        est->observe_watch(wi, found, onset, best_amp, watch_evidence);
-      }
-      w.active = found;
-    }
+      log_.push_back(event);
+      onsets_counter_->inc();
+      tracer.instant("onset", trace_track_, sim_now);
+      if (handlers_[onset.watch]) handlers_[onset.watch](event);
+      return event.cause;
+    };
+    match_watches(
+        watch_hz_, tones,
+        std::span<const audio::EmissionTag>(tag_scratch_.data(), ntags),
+        detector_.config().match_tolerance_hz, latch_, est, on_onset);
   }
   if (est != nullptr) {
     est->end_block();

@@ -7,6 +7,8 @@
 #include <stdexcept>
 
 #include "dsp/simd.h"
+#include "mdn/watch_matcher.h"
+#include "obs/trace.h"
 
 namespace mdn::core {
 namespace {
@@ -69,7 +71,7 @@ void ToneDetector::detect_into(std::span<const double> block,
                                obs::BlockSignalStats* stats) const {
   // The paper's Fig 2b "FFT processing time" covers this whole path:
   // window + zero-padded FFT + peak picking over one microphone block.
-  obs::ScopedTimerNs timer(fft_wall_ns_);
+  obs::Span span(fft_wall_ns_);
   detect_impl(block, out, stats);
 }
 
@@ -229,16 +231,9 @@ void ToneDetector::detect_batch_into(
         "ToneDetector::detect_batch_into: span size mismatch");
   }
   if (blocks.empty()) return;
-  // One wall-time sample per block, from the batch total split evenly:
-  // histogram counts stay one-per-block while the hot path pays for two
-  // clock reads per batch instead of two per block.
-  const std::int64_t start = obs::wall_now_ns();
+  // One wall-time sample per block for two clock reads per batch.
+  obs::Span span(fft_wall_ns_, nullptr, {}, 0, 0, /*samples=*/blocks.size());
   detect_batch_impl(blocks, outs, stats);
-  const std::int64_t per_block = (obs::wall_now_ns() - start) /
-                                 static_cast<std::int64_t>(blocks.size());
-  for (std::size_t b = 0; b < blocks.size(); ++b) {
-    fft_wall_ns_->record(static_cast<double>(per_block));
-  }
 }
 
 void ToneDetector::warm_up() const {
@@ -287,7 +282,7 @@ std::vector<double> ToneDetector::set_levels(
 void ToneDetector::set_levels_into(std::span<const double> block,
                                    const dsp::GoertzelBank& bank,
                                    std::span<double> out) const {
-  obs::ScopedTimerNs timer(goertzel_wall_ns_);
+  obs::Span span(goertzel_wall_ns_);
   bank.block_amplitudes(block, out);
 }
 
@@ -311,29 +306,19 @@ std::vector<ToneEvent> extract_tone_events(
       std::llround(hop_s * recording.sample_rate()));
   if (hop == 0 || recording.empty()) return events;
 
-  std::vector<bool> active(watch_hz.size(), false);
+  std::vector<char> latch(watch_hz.size(), 0);
   std::vector<DetectedTone> tones;
   for (std::size_t start = 0; start < recording.size(); start += hop) {
     const std::size_t len = std::min(hop, recording.size() - start);
     const auto block = recording.samples().subspan(start, len);
     detector.detect_into(block, tones);
     const double t = static_cast<double>(start) / recording.sample_rate();
-
-    for (std::size_t i = 0; i < watch_hz.size(); ++i) {
-      double best_amp = 0.0;
-      bool found = false;
-      for (const auto& tone : tones) {
-        if (std::abs(tone.frequency_hz - watch_hz[i]) <=
-            detector.config().match_tolerance_hz) {
-          found = true;
-          best_amp = std::max(best_amp, tone.amplitude);
-        }
-      }
-      if (found && !active[i]) {
-        events.push_back({t, watch_hz[i], best_amp});
-      }
-      active[i] = found;
-    }
+    const auto to_event = [&](const WatchOnset& onset) {
+      events.push_back({t, onset.frequency_hz, onset.amplitude});
+      return obs::CauseId{0};
+    };
+    match_watches(watch_hz, tones, {}, detector.config().match_tolerance_hz,
+                  latch, nullptr, to_event);
   }
   return events;
 }

@@ -136,8 +136,7 @@ bool EventLoop::step() {
     --live_;
     now_ = ev.time;
     {
-      obs::TraceSpan span(&tracer_, "event", track_, now_);
-      obs::ScopedTimerNs timer(callback_wall_ns_);
+      obs::Span span(callback_wall_ns_, &tracer_, "event", track_, now_);
       ev.cb();
     }
     ++dispatched_count_;

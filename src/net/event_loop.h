@@ -63,8 +63,6 @@ class EventLoop {
   /// records — it never schedules — so event ordering is unchanged.
   obs::Tracer& tracer() noexcept { return tracer_; }
   const obs::Tracer& tracer() const noexcept { return tracer_; }
-  /// Track id for spans recorded by the loop itself.
-  std::uint32_t trace_track() const noexcept { return track_; }
 
  private:
   // Heap node with the callback stored inline: scheduling a batch-scale

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
-#include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace mdn::net {
 
@@ -114,7 +114,7 @@ void TrafficGen::deliver(const FlowKey& flow, std::size_t target) {
 }
 
 void TrafficGen::run_batch(SimTime until) {
-  obs::ScopedTimerNs timer(batch_wall_ns_);
+  obs::Span span(batch_wall_ns_);
   const SimTime window_end = std::min(until, config_.stop);
   const double dt_s = static_cast<double>(window_end - window_start_) /
                       static_cast<double>(kSecond);

@@ -90,35 +90,52 @@ class Tracer {
   std::vector<std::string> tracks_;
 };
 
-/// RAII span: measures wall time from construction to destruction and
-/// records a complete event.  Entirely a no-op when the tracer is null
-/// or disabled (one branch at construction).
-class TraceSpan {
+/// RAII wall timer, the one timing mechanism: reads the clock once at
+/// each end (the tracer's injectable clock while tracing, else
+/// wall_now_ns(), else none), feeds `hist` with `samples` samples of the
+/// mean (a batch of n blocks keeps one sample per block), and records a
+/// complete event only while `tracer` is non-null and enabled.
+class Span {
  public:
-  TraceSpan(Tracer* tracer, std::string_view name, std::uint32_t track,
-            std::int64_t sim_ns) noexcept
-      : tracer_(tracer != nullptr && tracer->enabled() ? tracer : nullptr),
+  explicit Span(Histogram* hist, Tracer* tracer = nullptr,
+                std::string_view name = {}, std::uint32_t track = 0,
+                std::int64_t sim_ns = 0, std::size_t samples = 1) noexcept
+      : hist_(samples > 0 ? hist : nullptr),
+        tracer_(tracer != nullptr && tracer->enabled() ? tracer : nullptr),
         name_(name),
         track_(track),
         sim_ns_(sim_ns),
-        wall_start_ns_(tracer_ != nullptr ? tracer_->wall_now() : 0) {}
+        samples_(samples),
+        start_ns_(now()) {}
 
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
+  Span(const Span&) = delete;
+  Span& operator=(const Span&) = delete;
 
-  ~TraceSpan() {
+  ~Span() {
+    const std::int64_t dur = now() - start_ns_;
     if (tracer_ != nullptr) {
-      tracer_->complete(name_, track_, sim_ns_,
-                        wall_start_ns_, tracer_->wall_now() - wall_start_ns_);
+      tracer_->complete(name_, track_, sim_ns_, start_ns_, dur);
+    }
+    if (hist_ != nullptr) {
+      const auto mean = static_cast<double>(
+          dur / static_cast<std::int64_t>(samples_));
+      for (std::size_t i = 0; i < samples_; ++i) hist_->record(mean);
     }
   }
 
  private:
+  std::int64_t now() const {
+    if (tracer_ != nullptr) return tracer_->wall_now();
+    return hist_ != nullptr ? wall_now_ns() : 0;
+  }
+
+  Histogram* hist_;
   Tracer* tracer_;
   std::string_view name_;
   std::uint32_t track_;
   std::int64_t sim_ns_;
-  std::int64_t wall_start_ns_;
+  std::size_t samples_;
+  std::int64_t start_ns_;
 };
 
 }  // namespace mdn::obs

@@ -14,33 +14,38 @@ namespace {
 // Drop attribution: one kBlockDropped record per ground-truth tag the
 // discarded block carried (so the scoreboard can blame each missed tone
 // on backpressure), or a single untagged record when none rode along.
-// Returns the last minted record id (0 when the journal is disabled) so
-// the health layer can cite the drop as alert evidence.
-obs::CauseId journal_dropped_block(const AudioBlock& block, const char* why) {
+// The drop is then charged to the mic's health estimator (when wired),
+// citing the last minted record id (0 when the journal is disabled).
+void record_dropped_block(const AudioBlock& block, const char* why,
+                          obs::Health* health) {
   obs::Journal& journal = obs::Journal::global();
-  if (!journal.enabled()) return 0;
-  obs::JournalRecord rec;
-  rec.kind = obs::JournalKind::kBlockDropped;
-  rec.sim_ns = net::from_seconds(block.start_s);
-  rec.mic = block.mic;
-  rec.aux = block.seq;
-  obs::set_journal_label(rec, why);
-  if (block.tag_count == 0) {
-    return journal.append(rec);
-  }
   obs::CauseId last = 0;
-  for (std::uint8_t k = 0; k < block.tag_count; ++k) {
-    rec.cause = block.tags[k].cause;
-    rec.frequency_hz = block.tags[k].frequency_hz;
-    last = journal.append(rec);
+  if (journal.enabled()) {
+    obs::JournalRecord rec;
+    rec.kind = obs::JournalKind::kBlockDropped;
+    rec.sim_ns = net::from_seconds(block.start_s);
+    rec.mic = block.mic;
+    rec.aux = block.seq;
+    obs::set_journal_label(rec, why);
+    if (block.tag_count == 0) last = journal.append(rec);
+    for (std::uint8_t k = 0; k < block.tag_count; ++k) {
+      rec.cause = block.tags[k].cause;
+      rec.frequency_hz = block.tags[k].frequency_hz;
+      last = journal.append(rec);
+    }
   }
-  return last;
+  if (health != nullptr) health->estimator(block.mic).note_drop(last);
 }
 
 }  // namespace
 
 StreamRuntime::StreamRuntime(StreamRuntimeConfig config)
-    : config_(std::move(config)), detector_(config_.detector) {
+    : config_(std::move(config)),
+      detector_(config_.detector),
+      block_s_(detector_.config().sample_rate > 0.0
+                   ? static_cast<double>(detector_.config().block_size) /
+                         detector_.config().sample_rate
+                   : 0.0) {
   if (config_.workers == 0) config_.workers = 1;
   if (config_.ring_capacity == 0) config_.ring_capacity = 2;
   config_.batch_max = std::clamp<std::size_t>(
@@ -127,14 +132,9 @@ bool StreamRuntime::submit_block(std::uint32_t mic, double start_s,
     // Ingest record, stamped at block END (when the samples exist to be
     // analysed) so it sorts between the emission and the detection it
     // will be cited by (StreamEvent::ingest -> detection cause2).
-    const double block_s =
-        detector_.config().sample_rate > 0.0
-            ? static_cast<double>(detector_.config().block_size) /
-                  detector_.config().sample_rate
-            : 0.0;
     obs::JournalRecord rec;
     rec.kind = obs::JournalKind::kBlockIngested;
-    rec.sim_ns = net::from_seconds(start_s + block_s);
+    rec.sim_ns = net::from_seconds(start_s + block_s_);
     rec.cause = block.tags[0].cause;
     rec.mic = mic;
     rec.aux = block.seq;
@@ -151,11 +151,7 @@ bool StreamRuntime::submit_block(std::uint32_t mic, double start_s,
       break;
     case DropPolicy::kDropNewest:
       if (!q.ring.try_push(std::move(block))) {
-        const obs::CauseId drop_id = journal_dropped_block(block,
-                                                           "drop_newest");
-        if (config_.health != nullptr) {
-          config_.health->estimator(mic).note_drop(drop_id);
-        }
+        record_dropped_block(block, "drop_newest", config_.health);
         // mo: monitoring counter, no ordering needed with other state
         dropped_newest_.fetch_add(1, std::memory_order_relaxed);
         drops_newest_counter_->inc();
@@ -167,11 +163,7 @@ bool StreamRuntime::submit_block(std::uint32_t mic, double start_s,
         AudioBlock oldest;
         if (q.ring.try_pop(oldest)) {
           if (q.depth != nullptr) q.depth->add(-1);
-          const obs::CauseId drop_id =
-              journal_dropped_block(oldest, "drop_oldest");
-          if (config_.health != nullptr) {
-            config_.health->estimator(oldest.mic).note_drop(drop_id);
-          }
+          record_dropped_block(oldest, "drop_oldest", config_.health);
           // mo: monitoring counter, no ordering needed with other state
           dropped_oldest_.fetch_add(1, std::memory_order_relaxed);
           drops_oldest_counter_->inc();
@@ -198,14 +190,6 @@ std::size_t StreamRuntime::poll() {
   const std::size_t released = merge_.drain_ready(ready_scratch_);
   obs::Journal& journal = obs::Journal::global();
   const bool journal_on = journal.enabled();
-  // Detection time = block end (the onset is only known once the block
-  // has been fully recorded and analysed), matching the inline
-  // controller's sim-time stamp so latencies are comparable.
-  const double block_s =
-      detector_.config().sample_rate > 0.0
-          ? static_cast<double>(detector_.config().block_size) /
-                detector_.config().sample_rate
-          : 0.0;
   for (StreamEvent& event : ready_scratch_) {
     if (journal_on) {
       // Mint the detection record on the owner thread, in canonical
@@ -215,7 +199,8 @@ std::size_t StreamRuntime::poll() {
       obs::JournalRecord rec;
       rec.kind = obs::JournalKind::kToneDetected;
       rec.cause = event.cause;
-      rec.sim_ns = net::from_seconds(event.time_s + block_s);
+      // Detection time = block end, like the inline controller's stamp.
+      rec.sim_ns = net::from_seconds(event.time_s + block_s_);
       rec.frequency_hz = event.frequency_hz;
       rec.value = event.amplitude;
       rec.mic = event.mic;

@@ -145,6 +145,7 @@ class StreamRuntime final : public core::BlockSink {
 
   StreamRuntimeConfig config_;
   core::ToneDetector detector_;
+  double block_s_;  // nominal block length: journal stamps sit at block end
   std::vector<std::string> mic_names_;
   std::vector<std::unique_ptr<MicQueue>> queues_;
   std::vector<std::uint64_t> next_seq_;  // per mic, producer side

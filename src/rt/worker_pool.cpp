@@ -1,9 +1,11 @@
 #include "rt/worker_pool.h"
 
 #include <algorithm>
-#include <cmath>
 #include <span>
 #include <string>
+
+#include "mdn/watch_matcher.h"
+#include "obs/trace.h"
 
 namespace mdn::rt {
 
@@ -32,8 +34,8 @@ WorkerPool::WorkerPool(const core::ToneDetector& detector,
     block_wall_ns_.push_back(&registry.histogram(
         "rt/worker/" + std::to_string(t) + "/block_wall_ns"));
   }
-  active_.resize(queues_.size());
-  for (auto& row : active_) row.assign(watch_hz_.size(), 0);
+  latch_.resize(queues_.size());
+  for (auto& row : latch_) row.assign(watch_hz_.size(), 0);
 }
 
 WorkerPool::~WorkerPool() {
@@ -81,21 +83,18 @@ void WorkerPool::run_worker(std::size_t index) {
       MicQueue& q = *queues_[mic];
       // Drain up to batch_max_ ready blocks of this mic — popped in seq
       // order, fused into one batched detection.
-      std::size_t got = 0;
-      while (got < batch_max_ && q.ring.try_pop(scratch.blocks[got])) {
-        ++got;
-      }
-      if (got > 0) {
+      const DrainStep step = drain_or_close(
+          q.ring, producers_done_,
+          std::span<AudioBlock>(scratch.blocks.data(), batch_max_));
+      if (step.popped > 0) {
         if (q.depth != nullptr) {
-          q.depth->add(-static_cast<std::int64_t>(got));
+          q.depth->add(-static_cast<std::int64_t>(step.popped));
         }
-        process_batch(scratch, got, active_[mic], wall_ns);
+        process_batch(scratch, step.popped, latch_[mic], wall_ns);
         did_work = true;
         all_closed = false;
-      // mo: pairs with finish()'s release store — the final blocks precede the close decision
-      } else if (producers_done_.load(std::memory_order_acquire)) {
-        // Ring drained and no producer will refill it: this microphone
-        // is finished — stop gating the merge watermark on it.
+      } else if (step.closed) {
+        // No producer will refill the ring: stop gating the watermark.
         merge_.close(static_cast<std::uint32_t>(mic));
         closed[mic] = 1;
       } else {
@@ -108,14 +107,12 @@ void WorkerPool::run_worker(std::size_t index) {
 }
 
 void WorkerPool::process_batch(BatchScratch& scratch, std::size_t count,
-                               std::vector<char>& active,
+                               std::span<char> latch,
                                obs::Histogram* wall_ns) {
-  const std::int64_t batch_start = obs::wall_now_ns();
-  // One batched detection for the whole run (blocks are consecutive
-  // seqs of one mic), then the per-block pipeline in pop order — the
-  // matching, onset and merge arithmetic below is identical to
-  // MdnController::tick so the merged stream stays bit-equal to the
-  // serial controller path at any batch width.
+  obs::Span span(wall_ns, nullptr, {}, 0, 0, /*samples=*/count);
+  // One batched detection (consecutive seqs of one mic), then each block
+  // in pop order through the same core::match_watches() as the inline
+  // controller, so the merged stream equals it at any batch width.
   std::array<std::span<const double>, core::ToneDetector::kMaxDetectBatch>
       samples;
   std::array<std::vector<core::DetectedTone>*,
@@ -143,7 +140,6 @@ void WorkerPool::process_batch(BatchScratch& scratch, std::size_t count,
   std::uint64_t batch_events = 0;
   for (std::size_t b = 0; b < count; ++b) {
     AudioBlock& block = scratch.blocks[b];
-    const std::vector<core::DetectedTone>& tones = scratch.tones[b];
     obs::MicSignalEstimator* est = nullptr;
     if (health_ != nullptr) {
       // Health estimator updates ride the block in per-mic seq order —
@@ -155,41 +151,20 @@ void WorkerPool::process_batch(BatchScratch& scratch, std::size_t count,
       est = &health_->estimator(block.mic);
       est->begin_block(block.start_s + block_len_s, stats[b]);
     }
-    for (std::size_t i = 0; i < watch_hz_.size(); ++i) {
-      double best_amp = 0.0;
-      bool found = false;
-      for (const auto& t : tones) {
-        if (std::abs(t.frequency_hz - watch_hz_[i]) <= tolerance) {
-          found = true;
-          best_amp = std::max(best_amp, t.amplitude);
-        }
-      }
-      // Provenance: cite the ground-truth emission whose frequency this
-      // watch matched, if one rode in with the block.  Pure per-block
-      // arithmetic, so the resolved cause is identical regardless of
-      // worker count.
-      std::uint64_t cause = 0;
-      if (found) {
-        for (std::uint8_t k = 0; k < block.tag_count; ++k) {
-          if (std::abs(block.tags[k].frequency_hz - watch_hz_[i]) <=
-              tolerance) {
-            cause = block.tags[k].cause;
-            break;
-          }
-        }
-      }
-      const bool onset = found && active[i] == 0;
-      if (onset) {
-        merge_.push({block.seq, block.mic, static_cast<std::uint32_t>(i),
-                     block.start_s, watch_hz_[i], best_amp, cause,
-                     block.ingest});
-        ++batch_events;
-      }
-      if (est != nullptr) {
-        est->observe_watch(i, found, onset, best_amp, cause);
-      }
-      active[i] = found ? 1 : 0;
-    }
+    // Journal records are minted on the owner thread at poll(), so the
+    // hook mints none and the health evidence stays the emission tag.
+    const auto to_merge = [&](const core::WatchOnset& onset) {
+      merge_.push({block.seq, block.mic,
+                   static_cast<std::uint32_t>(onset.watch), block.start_s,
+                   onset.frequency_hz, onset.amplitude, onset.cause,
+                   block.ingest});
+      return obs::CauseId{0};
+    };
+    batch_events += core::match_watches(
+        watch_hz_, scratch.tones[b],
+        std::span<const audio::EmissionTag>(block.tags.data(),
+                                            block.tag_count),
+        tolerance, latch, est, to_merge);
     if (est != nullptr) est->end_block();
     // Events of a block are pushed before the watermark moves past it —
     // the merge relies on this ordering.
@@ -200,22 +175,11 @@ void WorkerPool::process_batch(BatchScratch& scratch, std::size_t count,
     (void)free_buffers_.try_push(std::move(block.samples));
   }
 
-  // Amortised telemetry: one atomic flush per batch, and the per-worker
-  // wall histogram gets `count` samples of the batch average so its
-  // count stays one-per-block.
+  // Amortised telemetry: one atomic flush per batch.
   // mo: monitoring counter, no ordering needed with other state
   processed_.fetch_add(count, std::memory_order_relaxed);
   processed_counter_->add(count);
-  if (batch_events > 0) {
-    // mo: monitoring counter, no ordering needed with other state
-    events_.fetch_add(batch_events, std::memory_order_relaxed);
-    events_counter_->add(batch_events);
-  }
-  const std::int64_t per_block = (obs::wall_now_ns() - batch_start) /
-                                 static_cast<std::int64_t>(count);
-  for (std::size_t b = 0; b < count; ++b) {
-    wall_ns->record(static_cast<double>(per_block));
-  }
+  if (batch_events > 0) events_counter_->add(batch_events);
 }
 
 }  // namespace mdn::rt

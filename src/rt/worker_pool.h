@@ -13,11 +13,13 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "audio/emission_tag.h"
 #include "common/annotations.h"
+#include "common/atomic.h"
 #include "mdn/tone_detector.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
@@ -58,6 +60,33 @@ struct MicQueue {
   obs::Gauge* depth = nullptr;  ///< "rt/mic/<i>/queue_depth"
 };
 
+/// One worker visit to one microphone's ring: the blocks it popped, and
+/// whether the microphone is finished.
+struct DrainStep {
+  std::size_t popped = 0;
+  bool closed = false;
+};
+
+/// Pops up to `out.size()` ready blocks of one ring into `out` (seq
+/// order).  The flag is loaded BEFORE the drain, so the mic closes only
+/// when a pop came back empty after `producers_done` was seen: loaded
+/// after it, a producer could publish a last block and finish() between
+/// the empty pop and the load, stranding the block in a closed ring
+/// (tests/model/test_model_worker_drain.cpp).
+template <typename T>
+MDN_REALTIME DrainStep drain_or_close(RingBuffer<T>& ring,
+                                      const check::Atomic<bool>& producers_done,
+                                      std::span<T> out) MDN_CHECK_NOEXCEPT {
+  // mo: pairs with finish()'s release store — every block pushed before finish() is visible to the drain below
+  const bool done = producers_done.load(std::memory_order_acquire);
+  DrainStep step;
+  while (step.popped < out.size() && ring.try_pop(out[step.popped])) {
+    ++step.popped;
+  }
+  step.closed = step.popped == 0 && done;
+  return step;
+}
+
 class WorkerPool {
  public:
   /// `detector`, `queues`, `merge` (and `health`, when set) must outlive
@@ -96,15 +125,9 @@ class WorkerPool {
 
   void join();
 
-  std::size_t worker_count() const noexcept { return workers_; }
-  std::size_t batch_max() const noexcept { return batch_max_; }
   std::uint64_t blocks_processed() const noexcept {
     // mo: monitoring counter, no ordering needed with other state
     return processed_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t events_emitted() const noexcept {
-    // mo: monitoring counter, no ordering needed with other state
-    return events_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -119,15 +142,15 @@ class WorkerPool {
 
   void run_worker(std::size_t index);
   /// The worker-side hot path: one batched detection over `count`
-  /// consecutive blocks of a single mic, then match + merge-push per
-  /// block in pop (seq) order — per-block results and merge interleaving
-  /// are bit-identical to processing the blocks one at a time.  Counter
-  /// and gauge traffic is flushed once per batch, and the per-worker
-  /// wall histogram receives `count` samples of the batch average, so
-  /// downstream consumers keep their one-sample-per-block semantics.
+  /// consecutive blocks of a single mic, then core::match_watches +
+  /// merge-push per block in pop (seq) order — per-block results and
+  /// merge interleaving are bit-identical to processing the blocks one
+  /// at a time.  Counter and gauge traffic is flushed once per batch, and
+  /// the per-worker wall histogram receives `count` samples of the batch
+  /// mean, so downstream consumers keep one sample per block.
   /// Steady-state allocation-free (audited in tests/rt).
   MDN_REALTIME void process_batch(BatchScratch& scratch, std::size_t count,
-                                  std::vector<char>& active,
+                                  std::span<char> latch,
                                   obs::Histogram* wall_ns);
 
   const core::ToneDetector& detector_;
@@ -140,13 +163,13 @@ class WorkerPool {
   std::size_t batch_max_;
 
   std::vector<std::thread> threads_;
-  // active_[mic][watch]: tone present in the previous block.  Each row is
-  // touched only by the worker that owns the microphone.
-  std::vector<std::vector<char>> active_;
-  std::atomic<bool> producers_done_{false};
+  // latch_[mic][watch]: tone present in the previous block (the onset
+  // latch of core::match_watches).  Each row is touched only by the
+  // worker that owns the microphone.
+  std::vector<std::vector<char>> latch_;
+  check::Atomic<bool> producers_done_{false};
   std::atomic<std::size_t> warmed_{0};
   std::atomic<std::uint64_t> processed_{0};
-  std::atomic<std::uint64_t> events_{0};
   obs::Counter* processed_counter_;
   obs::Counter* events_counter_;
   std::vector<obs::Histogram*> block_wall_ns_;  // per worker

@@ -14,7 +14,7 @@ TEST(TracerTest, DisabledByDefaultAndRecordsNothing) {
   EXPECT_FALSE(t.enabled());
   const auto track = t.track("net/loop");
   t.instant("onset", track, 1000);
-  { TraceSpan span(&t, "work", track, 2000); }
+  { Span span(nullptr, &t, "work", track, 2000); }
   EXPECT_TRUE(t.events().empty());
 }
 
@@ -48,7 +48,7 @@ TEST(TracerTest, SpanUsesInjectedClock) {
   t.enable();
   t.set_wall_clock(&fake_clock);
   const auto track = t.track("x");
-  { TraceSpan span(&t, "work", track, 7000); }
+  { Span span(nullptr, &t, "work", track, 7000); }
   ASSERT_EQ(t.events().size(), 1u);
   EXPECT_EQ(t.events()[0].name, "work");
   EXPECT_EQ(t.events()[0].sim_ns, 7000);
@@ -56,7 +56,40 @@ TEST(TracerTest, SpanUsesInjectedClock) {
 }
 
 TEST(TracerTest, NullTracerSpanIsANoop) {
-  TraceSpan span(nullptr, "nothing", 0, 0);  // must not crash
+  Span span(nullptr, nullptr, "nothing", 0, 0);  // must not crash
+}
+
+// A clock that advances 1000 ns per read, so the span's reads are
+// countable: one at each end.
+std::int64_t stepping_ns = 0;
+std::int64_t stepping_clock() { return stepping_ns += 1000; }
+
+TEST(TracerTest, SpanSplitsABatchIntoHistogramSamples) {
+  Tracer t;
+  t.enable();
+  t.set_wall_clock(&stepping_clock);
+  stepping_ns = 0;
+  const auto track = t.track("rt/worker");
+  Histogram traced;
+  { Span span(&traced, &t, "batch", track, 9000, 4); }
+  // Two clock reads, 1000 ns apart: one trace event for the interval,
+  // and four histogram samples of its mean.
+  EXPECT_EQ(stepping_ns, 2000);
+  ASSERT_EQ(t.events().size(), 1u);
+  EXPECT_EQ(t.events()[0].wall_ns, 1000);
+  EXPECT_EQ(t.events()[0].wall_dur_ns, 1000);
+  EXPECT_EQ(traced.count(), 4u);
+  EXPECT_DOUBLE_EQ(traced.sum(), 1000.0);
+
+  // A disabled or null tracer records nothing; the histogram still
+  // receives its four samples.
+  t.enable(false);
+  Histogram untraced;
+  { Span span(&untraced, &t, "batch", track, 9000, 4); }
+  { Span span(&untraced, nullptr, "batch", track, 9000, 4); }
+  EXPECT_EQ(t.events().size(), 1u);
+  EXPECT_EQ(stepping_ns, 2000);  // the tracer's clock was not read
+  EXPECT_EQ(untraced.count(), 8u);
 }
 
 // Golden test: the exact Chrome trace_event JSON for a fixed event

@@ -8,6 +8,8 @@
 
 #include <cmath>
 #include <numbers>
+#include <sstream>
+#include <string>
 #include <vector>
 
 namespace mdn::rt {
@@ -53,7 +55,9 @@ std::vector<double> scenario_block(std::uint32_t mic, std::uint64_t hop,
 }
 
 /// Single-threaded reference: identical detector, identical matching
-/// arithmetic, blocks visited in canonical (hop, mic, watch) order.
+/// arithmetic, blocks visited in canonical (hop, mic, watch) order.  The
+/// matching is written out here rather than calling core::match_watches,
+/// so the reference stays an independent oracle for the shared matcher.
 std::vector<StreamEvent> serial_reference(const StreamRuntimeConfig& cfg,
                                           std::size_t mics,
                                           std::uint64_t hops) {
@@ -88,8 +92,13 @@ std::vector<StreamEvent> serial_reference(const StreamRuntimeConfig& cfg,
   return events;
 }
 
-std::vector<StreamEvent> run_runtime(const StreamRuntimeConfig& cfg,
-                                     std::size_t mics, std::uint64_t hops) {
+struct RuntimeRun {
+  std::vector<StreamEvent> events;
+  StreamRuntimeStats stats;
+};
+
+RuntimeRun run_runtime(const StreamRuntimeConfig& cfg, std::size_t mics,
+                       std::uint64_t hops) {
   StreamRuntime runtime(cfg);
   for (std::size_t m = 0; m < mics; ++m) {
     runtime.add_mic("mic-" + std::to_string(m));
@@ -102,7 +111,41 @@ std::vector<StreamEvent> run_runtime(const StreamRuntimeConfig& cfg,
     }
   }
   runtime.finish();
-  return runtime.events();
+  return {runtime.events(), runtime.stats()};
+}
+
+std::string describe(const std::vector<StreamEvent>& events, std::size_t i) {
+  if (i >= events.size()) return "<none>";
+  const StreamEvent& e = events[i];
+  std::ostringstream out;
+  out << "{seq=" << e.seq << " mic=" << e.mic << " watch=" << e.watch
+      << " amplitude=" << e.amplitude << "}";
+  return out.str();
+}
+
+/// Failure diagnosis for the equivalence checks: the runtime's block
+/// accounting, and the first event pair where it and the serial
+/// reference differ (<none> where one stream has already ended).
+std::string diagnose(const RuntimeRun& run,
+                     const std::vector<StreamEvent>& reference) {
+  std::ostringstream out;
+  out << "\n  runtime.stats(): submitted=" << run.stats.submitted
+      << " processed=" << run.stats.processed
+      << " dropped_oldest=" << run.stats.dropped_oldest
+      << " dropped_newest=" << run.stats.dropped_newest;
+  std::size_t i = 0;
+  while (i < run.events.size() && i < reference.size() &&
+         run.events[i] == reference[i]) {
+    ++i;
+  }
+  if (i == run.events.size() && i == reference.size()) {
+    out << "\n  event streams are equal";
+  } else {
+    out << "\n  first divergence at event " << i << ": runtime "
+        << describe(run.events, i) << " vs serial "
+        << describe(reference, i);
+  }
+  return out.str();
 }
 
 TEST(StreamRuntime, MergedStreamMatchesSerialAtEveryWorkerCount) {
@@ -111,18 +154,21 @@ TEST(StreamRuntime, MergedStreamMatchesSerialAtEveryWorkerCount) {
   const auto reference = serial_reference(base_config(1), mics, hops);
   ASSERT_FALSE(reference.empty());
   for (std::size_t workers : {1u, 2u, 4u, 7u}) {
-    const auto events = run_runtime(base_config(workers), mics, hops);
-    ASSERT_EQ(events.size(), reference.size()) << "workers=" << workers;
+    const auto run = run_runtime(base_config(workers), mics, hops);
+    const auto& events = run.events;
+    ASSERT_EQ(events.size(), reference.size())
+        << "workers=" << workers << diagnose(run, reference);
     for (std::size_t i = 0; i < events.size(); ++i) {
       EXPECT_TRUE(events[i] == reference[i])
-          << "workers=" << workers << " event " << i;
+          << "workers=" << workers << " event " << i
+          << diagnose(run, reference);
     }
   }
 }
 
 TEST(StreamRuntime, RepeatedRunsAreBitIdentical) {
-  const auto a = run_runtime(base_config(4), 3, 12);
-  const auto b = run_runtime(base_config(4), 3, 12);
+  const auto a = run_runtime(base_config(4), 3, 12).events;
+  const auto b = run_runtime(base_config(4), 3, 12).events;
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_TRUE(a[i] == b[i]);
 }
@@ -139,13 +185,15 @@ TEST(StreamRuntime, BatchWidthNeverChangesTheMergedStream) {
     for (std::size_t batch : {1u, 2u, 4u}) {
       auto cfg = base_config(workers);
       cfg.batch_max = batch;
-      const auto events = run_runtime(cfg, mics, hops);
+      const auto run = run_runtime(cfg, mics, hops);
+      const auto& events = run.events;
       ASSERT_EQ(events.size(), reference.size())
-          << "workers=" << workers << " batch_max=" << batch;
+          << "workers=" << workers << " batch_max=" << batch
+          << diagnose(run, reference);
       for (std::size_t i = 0; i < events.size(); ++i) {
         EXPECT_TRUE(events[i] == reference[i])
             << "workers=" << workers << " batch_max=" << batch << " event "
-            << i;
+            << i << diagnose(run, reference);
       }
     }
   }
@@ -168,12 +216,14 @@ TEST(StreamRuntime, BlockPolicyLosesNothingUnderTinyRings) {
   const std::size_t mics = 4;
   const std::uint64_t hops = 16;
   const auto reference = serial_reference(cfg, mics, hops);
-  const auto events = run_runtime(cfg, mics, hops);
+  const auto run = run_runtime(cfg, mics, hops);
+  const auto& events = run.events;
   const auto stats_equivalent = events.size() == reference.size();
-  EXPECT_TRUE(stats_equivalent);
+  EXPECT_TRUE(stats_equivalent) << diagnose(run, reference);
   for (std::size_t i = 0; i < std::min(events.size(), reference.size());
        ++i) {
-    EXPECT_TRUE(events[i] == reference[i]) << "event " << i;
+    EXPECT_TRUE(events[i] == reference[i])
+        << "event " << i << diagnose(run, reference);
   }
 }
 
