@@ -295,8 +295,9 @@ int run(bool smoke, bool journal_on) {
     journal.clear();
   }
 
-  mdn::bench::write_json("rt_scaling.bench.json");
-  std::printf("wrote rt_scaling.bench.json\n");
+  if (mdn::bench::write_json("rt_scaling.bench.json")) {
+    std::printf("wrote rt_scaling.bench.json\n");
+  }
 
   int diverged = 0;
   for (const auto& claim : mdn::bench::detail::report().claims) {

@@ -63,9 +63,16 @@ inline std::string sanitize(const std::string& s) {
 }  // namespace detail
 
 /// Serialises the accumulated report (plus the global metrics registry
-/// under "metrics") to `path`.  Never throws; returns false on I/O error.
+/// under "metrics") to `path`, or to $MDN_BENCH_JSON when that is set:
+/// "0", "off" or an empty value skips the write.  Either way the at-exit
+/// writer stays quiet afterwards.  Never throws; returns true only when
+/// the file was written.
 inline bool write_json(const std::string& path) {
   detail::Report& r = detail::report();
+  r.written = true;
+  const char* env = std::getenv("MDN_BENCH_JSON");
+  const std::string target = env != nullptr ? env : path;
+  if (target.empty() || target == "0" || target == "off") return false;
   std::string out = "{\"bench\":\"" + obs::json_escape(r.name) + "\",";
   out += "\"claims\":[";
   for (std::size_t i = 0; i < r.claims.size(); ++i) {
@@ -87,8 +94,7 @@ inline bool write_json(const std::string& path) {
   // The stable key downstream tooling diffs: the whole obs registry.
   out += "},\"metrics\":" + obs::to_json(obs::Registry::global().snapshot());
   out += "}\n";
-  r.written = true;
-  return obs::write_file(path, out);
+  return obs::write_file(target, out);
 }
 
 namespace detail {
@@ -96,10 +102,7 @@ namespace detail {
 inline void write_json_at_exit() {
   Report& r = report();
   if (r.written || r.name.empty()) return;
-  const char* env = std::getenv("MDN_BENCH_JSON");
-  std::string path = env != nullptr ? env : r.name + ".bench.json";
-  if (path.empty() || path == "0" || path == "off") return;
-  write_json(path);
+  write_json(r.name + ".bench.json");
 }
 
 }  // namespace detail

@@ -6,14 +6,13 @@ enforced here over the whole tree on every CI run:
 
 Real-time purity
     Functions annotated ``MDN_REALTIME`` (src/common/annotations.h) are
-    the audio hot path: ToneDetector::detect_into / detect_batch_into /
-    set_levels_into, FftPlan::execute / execute_batch_soa,
-    RealFftPlan::execute_batch, the SIMD kernel dispatch
+    the audio hot path: ToneDetector::detect_into / set_levels_into,
+    FftPlan::execute, RealFftPlan::execute, the SIMD kernel dispatch
     (simd::active_kernels), GoertzelBank evaluation, RingBuffer
     push/pop, Journal::append, the shared onset matcher
     (core::match_watches), the worker drain-or-close step
-    (rt::drain_or_close), WorkerPool batch processing
-    (process_batch), the MicSignalEstimator health hooks
+    (rt::drain_or_close), WorkerPool per-block processing
+    (process_block), the MicSignalEstimator health hooks
     (begin_block / observe_watch / end_block / queue_alert) and the
     metrics-timeline sampling hook (Timeline::sample — it runs inside
     the event loop's periodic callback, so it must stay pure relaxed

@@ -1,5 +1,6 @@
 #include "dsp/fft_plan.h"
 
+#include <bit>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
@@ -11,13 +12,6 @@ namespace mdn::dsp {
 namespace {
 
 constexpr double kPi = std::numbers::pi;
-
-// Stages with fewer butterflies than this run inline scalar code instead
-// of an indirect kernel call: on the early stages (len 2..8) the call
-// itself would cost more than the arithmetic.  Harmless for the
-// SIMD-vs-scalar contract — the inline body is the scalar reference
-// arithmetic, and every vector kernel matches it bit-for-bit anyway.
-constexpr std::size_t kKernelMinHalf = 8;
 
 // Bit-reversal index table for an n-point (power-of-two) transform.
 std::vector<std::uint32_t> make_bitrev(std::size_t n) {
@@ -58,11 +52,16 @@ std::vector<Complex> make_twiddles(std::size_t n, bool inverse) {
 }  // namespace
 
 FftPlan::FftPlan(std::size_t size, bool inverse)
-    : n_(size), inverse_(inverse) {
+    : n_(size),
+      inverse_(inverse),
+      executions_counter_(
+          &obs::Registry::global().counter("dsp/fft/executions")),
+      passes_counter_(&obs::Registry::global().counter("dsp/fft/passes")) {
   if (n_ <= 1) return;  // 0- and 1-point transforms are the identity
   if (is_power_of_two(n_)) {
     bitrev_ = make_bitrev(n_);
     twiddles_ = make_twiddles(n_, inverse_);
+    stages_ = static_cast<std::uint32_t>(std::countr_zero(n_));
     return;
   }
 
@@ -92,43 +91,35 @@ FftPlan::FftPlan(std::size_t size, bool inverse)
 }
 
 void FftPlan::execute_pow2(std::span<Complex> data) const noexcept {
-  // Permute, then iterate stages walking that stage's twiddle slice
-  // sequentially: no trig, no allocation, no accumulated recurrence
-  // error.  The butterflies spell out the complex arithmetic on doubles
-  // — table entries are always finite, so this skips the NaN fix-up
-  // branch (and its scalar recompute) that std::complex operator*
-  // carries, about half the per-butterfly instruction count.
-  const std::size_t n = n_;
-  for (std::size_t i = 1; i < n; ++i) {
+  for (std::size_t i = 1; i < n_; ++i) {
     const std::size_t j = bitrev_[i];
     if (i < j) std::swap(data[i], data[j]);
   }
+  run_stages(data.data());
+}
+
+void FftPlan::run_stages(Complex* data) const noexcept {
+  // Walk the stage-major twiddle table: no trig, no allocation, no
+  // accumulated recurrence error.  Stages run fused in pairs
+  // (radix-2^2): each pass applies stage len and stage 2*len to every
+  // 4-element group in registers — the same butterflies, in the same
+  // order, on the same twiddles as two single-stage passes, so the
+  // result is bit-identical with half the sweeps over data and table.
+  // An odd stage count leaves the first stage (len 2) on its own.
   const simd::Kernels& kern = simd::active_kernels();
   const Complex* stage = twiddles_.data();
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const std::size_t half = len / 2;
-    if (half < kKernelMinHalf) {
-      for (std::size_t i = 0; i < n; i += len) {
-        Complex* a = &data[i];
-        Complex* b = a + half;
-        for (std::size_t k = 0; k < half; ++k) {
-          const double wr = stage[k].real(), wi = stage[k].imag();
-          const double br = b[k].real(), bi = b[k].imag();
-          const double vr = br * wr - bi * wi;
-          const double vi = br * wi + bi * wr;
-          const double ar = a[k].real(), ai = a[k].imag();
-          a[k] = Complex{ar + vr, ai + vi};
-          b[k] = Complex{ar - vr, ai - vi};
-        }
-      }
-    } else {
-      for (std::size_t i = 0; i < n; i += len) {
-        Complex* a = &data[i];
-        kern.butterfly_aos(a, a + half, stage, half);
-      }
-    }
-    stage += half;
+  std::size_t h = 1;  // half-length of the next stage to run
+  if (stages_ % 2 == 1) {
+    kern.butterfly_aos(data, n_, 1, stage);
+    stage += 1;
+    h = 2;
   }
+  for (; 4 * h <= n_; h *= 4) {
+    kern.butterfly_pair(data, n_, h, stage, stage + h);
+    stage += 3 * h;
+  }
+  executions_counter_->add(1);
+  passes_counter_->add((stages_ + 1) / 2);
 }
 
 void FftPlan::execute(std::span<Complex> data,
@@ -157,51 +148,6 @@ void FftPlan::execute(std::span<Complex> data,
   kern.cmul_aos(a.data(), chirp_.data(), data.data(), n_);
   for (std::size_t k = 0; k < n_; ++k) {
     data[k] = Complex{data[k].real() * scale, data[k].imag() * scale};
-  }
-}
-
-void FftPlan::execute_batch_soa(std::span<double> re, std::span<double> im,
-                                std::size_t lanes) const {
-  if (m_ != 0) {
-    throw std::invalid_argument(
-        "FftPlan::execute_batch_soa: power-of-two sizes only");
-  }
-  if (lanes == 0 || n_ <= 1) return;
-  if (re.size() < n_ * lanes || im.size() < n_ * lanes) {
-    throw std::invalid_argument(
-        "FftPlan::execute_batch_soa: buffers too small");
-  }
-
-  // Same permutation + stage walk as execute_pow2, with every scalar
-  // element widened to a `lanes`-double row; per-lane arithmetic is the
-  // identical op sequence, so each lane matches a solo execute()
-  // bit-for-bit.
-  double* rp = re.data();
-  double* ip = im.data();
-  for (std::size_t i = 1; i < n_; ++i) {
-    const std::size_t j = bitrev_[i];
-    if (i < j) {
-      double* ra = rp + i * lanes;
-      double* rb = rp + j * lanes;
-      double* ia = ip + i * lanes;
-      double* ib = ip + j * lanes;
-      for (std::size_t l = 0; l < lanes; ++l) {
-        std::swap(ra[l], rb[l]);
-        std::swap(ia[l], ib[l]);
-      }
-    }
-  }
-  const simd::Kernels& kern = simd::active_kernels();
-  const Complex* stage = twiddles_.data();
-  for (std::size_t len = 2; len <= n_; len <<= 1) {
-    const std::size_t half = len / 2;
-    for (std::size_t i = 0; i < n_; i += len) {
-      double* ar = rp + i * lanes;
-      double* ai = ip + i * lanes;
-      kern.butterfly_soa(ar, ai, ar + half * lanes, ai + half * lanes, stage,
-                         half, lanes);
-    }
-    stage += half;
   }
 }
 
@@ -245,27 +191,18 @@ void RealFftPlan::execute(std::span<const double> input,
 
   if (half_plan_ != nullptr) {
     // Packed-real: transform the N real samples as an N/2-point complex
-    // FFT, then untangle even/odd with the precomputed coefficients.
+    // FFT z[i] = x[2i] + i*x[2i+1], then untangle even/odd with the
+    // precomputed coefficients.  The pack reads the sample pairs in
+    // bit-reversed order, so it is the half plan's permutation too.
     const std::size_t half = n_ / 2;
-    std::span<Complex> z = scratch.first(half);
+    const std::vector<std::uint32_t>& rev = half_plan_->bitrev_;
     for (std::size_t i = 0; i < half; ++i) {
-      z[i] = Complex{input[2 * i], input[2 * i + 1]};
+      const std::size_t j = 2 * std::size_t{rev[i]};
+      scratch[i] = Complex{input[j], input[j + 1]};
     }
-    half_plan_->execute(z);
-
-    for (std::size_t k = 0; k <= half / 2; ++k) {
-      const std::size_t km = (half - k) % half;
-      const Complex a = z[k];
-      const Complex b = std::conj(z[km]);
-      const Complex even = 0.5 * (a + b);
-      const Complex odd = Complex{0.0, -0.5} * (a - b);
-      out_bins[k] = even + untangle_[k] * odd;
-      // The mirrored entry X[half - k] from the conjugated split.
-      out_bins[half - k] =
-          std::conj(even) + untangle_[half - k] * std::conj(odd);
-    }
-    // X[half] (Nyquist) from the even/odd split at k = 0.
-    out_bins[half] = Complex{z[0].real() - z[0].imag(), 0.0};
+    half_plan_->run_stages(scratch.data());
+    simd::active_kernels().untangle_real(scratch.data(), untangle_.data(),
+                                         out_bins.data(), half);
     return;
   }
 
@@ -274,61 +211,6 @@ void RealFftPlan::execute(std::span<const double> input,
   for (std::size_t i = 0; i < n_; ++i) data[i] = Complex{input[i], 0.0};
   full_plan_->execute(data, scratch.subspan(n_));
   for (std::size_t k = 0; k < bins(); ++k) out_bins[k] = data[k];
-}
-
-void RealFftPlan::execute_batch(std::span<const double* const> inputs,
-                                std::span<Complex* const> out_bins,
-                                std::span<double> re_scratch,
-                                std::span<double> im_scratch) const {
-  if (half_plan_ == nullptr) {
-    throw std::invalid_argument(
-        "RealFftPlan::execute_batch: packed-real sizes only");
-  }
-  const std::size_t lanes = inputs.size();
-  if (out_bins.size() != lanes) {
-    throw std::invalid_argument(
-        "RealFftPlan::execute_batch: inputs/out_bins size mismatch");
-  }
-  if (lanes == 0) return;
-  const std::size_t half = n_ / 2;
-  if (re_scratch.size() < half * lanes || im_scratch.size() < half * lanes) {
-    throw std::invalid_argument(
-        "RealFftPlan::execute_batch: scratch too small");
-  }
-
-  // Pack every lane's samples as the interleaved SoA rows of one
-  // half-size complex batch: z_l[i] = {x_l[2i], x_l[2i+1]}.
-  double* rp = re_scratch.data();
-  double* ip = im_scratch.data();
-  for (std::size_t i = 0; i < half; ++i) {
-    double* rrow = rp + i * lanes;
-    double* irow = ip + i * lanes;
-    for (std::size_t l = 0; l < lanes; ++l) {
-      rrow[l] = inputs[l][2 * i];
-      irow[l] = inputs[l][2 * i + 1];
-    }
-  }
-  half_plan_->execute_batch_soa(re_scratch.first(half * lanes),
-                                im_scratch.first(half * lanes), lanes);
-
-  // Untangle per lane with the very same complex arithmetic as
-  // execute(); combined with the per-lane bit-identity of the batched
-  // FFT this makes every lane's bins match the single-channel path
-  // bit-for-bit.
-  for (std::size_t l = 0; l < lanes; ++l) {
-    Complex* out = out_bins[l];
-    for (std::size_t k = 0; k <= half / 2; ++k) {
-      const std::size_t km = (half - k) % half;
-      const Complex a = Complex{rp[k * lanes + l], ip[k * lanes + l]};
-      const Complex b =
-          std::conj(Complex{rp[km * lanes + l], ip[km * lanes + l]});
-      const Complex even = 0.5 * (a + b);
-      const Complex odd = Complex{0.0, -0.5} * (a - b);
-      out[k] = even + untangle_[k] * odd;
-      out[half - k] = std::conj(even) + untangle_[half - k] * std::conj(odd);
-    }
-    out[half] = Complex{rp[l] - ip[l], 0.0};
-  }
 }
 
 std::vector<Complex> RealFftPlan::spectrum(

@@ -8,12 +8,15 @@
 // design, a plan precomputes everything that depends only on the
 // transform size and direction:
 //   * FftPlan      — complex DFT of any length: twiddle table + bit
-//                    reversal permutation for power-of-two sizes, a
-//                    precomputed Bluestein chirp + convolution kernel for
-//                    everything else;
+//                    reversal permutation for power-of-two sizes (the
+//                    radix-2 stages run fused in pairs, radix-2^2, so a
+//                    2048-point transform sweeps its data 6 times, not
+//                    11), a precomputed Bluestein chirp + convolution
+//                    kernel for everything else;
 //   * RealFftPlan  — forward DFT of a real signal producing the
-//                    single-sided half spectrum, with precomputed
-//                    packed-real untangle coefficients;
+//                    single-sided half spectrum: packs the samples in
+//                    bit-reversed order, runs the half-size stages and
+//                    untangles with precomputed coefficients;
 //   * PlanCache    — thread-safe process-wide cache keyed by (size,
 //                    direction) so every subsystem asking for the same
 //                    transform shares one table set.
@@ -23,6 +26,10 @@
 // steady state performs zero heap allocations.  Plans are immutable
 // after construction and execute() is const, so one plan may be executed
 // concurrently from many threads (each thread brings its own scratch).
+//
+// Counted work: every power-of-two transform adds 1 to the registry
+// counter "dsp/fft/executions" and its stage passes to "dsp/fft/passes"
+// (one relaxed add each), so passes per execute is observable.
 #pragma once
 
 #include <cstddef>
@@ -34,6 +41,7 @@
 
 #include "common/mutex.h"
 #include "dsp/fft.h"
+#include "obs/metrics.h"
 
 namespace mdn::dsp {
 
@@ -58,25 +66,18 @@ class FftPlan {
   MDN_REALTIME void execute(std::span<Complex> data,
                             std::span<Complex> scratch = {}) const;
 
-  /// True when execute_batch_soa() is usable (power-of-two sizes only).
-  bool supports_batch() const noexcept { return m_ == 0; }
-
-  /// Batched in-place transform of `lanes` independent channels stored
-  /// structure-of-arrays: element k of channel l lives at
-  /// re[k*lanes + l] / im[k*lanes + l] (re and im each hold
-  /// size()*lanes doubles).  One bit-reversal + butterfly sweep serves
-  /// all lanes; each lane's result is bit-identical to running
-  /// execute() on that channel alone.  Power-of-two sizes only
-  /// (supports_batch()).  Performs no heap allocation.
-  MDN_REALTIME void execute_batch_soa(std::span<double> re,
-                                      std::span<double> im,
-                                      std::size_t lanes) const;
-
   /// Convenience out-of-place form (allocates the result and scratch).
   std::vector<Complex> transform(std::span<const Complex> input) const;
 
  private:
+  // RealFftPlan packs straight into bit-reversed order and then calls
+  // run_stages() on its half-size plan.
+  friend class RealFftPlan;
+
   void execute_pow2(std::span<Complex> data) const noexcept;
+  // The butterfly stages over data already in bit-reversed order: an odd
+  // first stage alone, then the rest fused in pairs.
+  void run_stages(Complex* data) const noexcept;
 
   std::size_t n_;
   bool inverse_;
@@ -85,6 +86,9 @@ class FftPlan {
   // loop reads them at unit stride.
   std::vector<std::uint32_t> bitrev_;
   std::vector<Complex> twiddles_;
+  std::uint32_t stages_ = 0;  // log2(n): radix-2 stages per transform
+  obs::Counter* executions_counter_;
+  obs::Counter* passes_counter_;
   // Bluestein path (non power-of-two): chirp w[k], the forward FFT of
   // the convolution kernel, and two power-of-two sub-plans of length m_.
   std::size_t m_ = 0;
@@ -115,27 +119,6 @@ class RealFftPlan {
   MDN_REALTIME void execute(std::span<const double> input,
                             std::span<Complex> out_bins,
                             std::span<Complex> scratch) const;
-
-  /// True when execute_batch() is usable (the packed-real path, i.e.
-  /// power-of-two sizes >= 4).
-  bool supports_batch() const noexcept { return half_plan_ != nullptr; }
-
-  /// Doubles each of re_scratch/im_scratch must provide for a
-  /// `lanes`-channel execute_batch(): (size()/2) * lanes.
-  std::size_t batch_scratch_doubles(std::size_t lanes) const noexcept {
-    return (n_ / 2) * lanes;
-  }
-
-  /// Batched transform: inputs[l] points at size() samples of channel
-  /// l, out_bins[l] at >= bins() output bins (l < lanes =
-  /// inputs.size() == out_bins.size()).  One packed SoA half-size FFT
-  /// serves all lanes; each lane's bins are bit-identical to execute()
-  /// on that channel alone.  Requires supports_batch().  Performs no
-  /// heap allocation.
-  MDN_REALTIME void execute_batch(std::span<const double* const> inputs,
-                                  std::span<Complex* const> out_bins,
-                                  std::span<double> re_scratch,
-                                  std::span<double> im_scratch) const;
 
   /// Convenience form returning the bins() half spectrum (allocates).
   std::vector<Complex> spectrum(std::span<const double> input) const;

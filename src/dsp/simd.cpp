@@ -50,52 +50,83 @@ void mag_scale_aos_scalar(const Complex* bins, double scale, double* out,
   }
 }
 
-void mag_scale_soa_scalar(const double* re, const double* im, double scale,
-                          double* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = std::sqrt(re[i] * re[i] + im[i] * im[i]) * scale;
-  }
+// The reference butterfly on one [re, im] pair each:
+//   v = b * w  (vr = br*wr - bi*wi, vi = br*wi + bi*wr)
+//   a = a + v,  b = a - v
+inline void butterfly_scalar(double* a, double* b, const double* w) {
+  const double wr = w[0], wi = w[1];
+  const double br = b[0], bi = b[1];
+  const double vr = br * wr - bi * wi;
+  const double vi = br * wi + bi * wr;
+  const double ar = a[0], ai = a[1];
+  a[0] = ar + vr;
+  a[1] = ai + vi;
+  b[0] = ar - vr;
+  b[1] = ai - vi;
 }
 
-void butterfly_aos_scalar(Complex* a, Complex* b, const Complex* tw,
-                          std::size_t half) {
-  double* ap = flat(a);
-  double* bp = flat(b);
+void butterfly_aos_scalar(Complex* data, std::size_t n, std::size_t half,
+                          const Complex* tw) {
   const double* wp = flat(tw);
-  for (std::size_t k = 0; k < half; ++k) {
-    const double wr = wp[2 * k], wi = wp[2 * k + 1];
-    const double br = bp[2 * k], bi = bp[2 * k + 1];
-    const double vr = br * wr - bi * wi;
-    const double vi = br * wi + bi * wr;
-    const double ar = ap[2 * k], ai = ap[2 * k + 1];
-    ap[2 * k] = ar + vr;
-    ap[2 * k + 1] = ai + vi;
-    bp[2 * k] = ar - vr;
-    bp[2 * k + 1] = ai - vi;
-  }
-}
-
-void butterfly_soa_scalar(double* a_re, double* a_im, double* b_re,
-                          double* b_im, const Complex* tw, std::size_t half,
-                          std::size_t lanes) {
-  const double* wp = flat(tw);
-  for (std::size_t k = 0; k < half; ++k) {
-    const double wr = wp[2 * k], wi = wp[2 * k + 1];
-    double* ar_row = a_re + k * lanes;
-    double* ai_row = a_im + k * lanes;
-    double* br_row = b_re + k * lanes;
-    double* bi_row = b_im + k * lanes;
-    for (std::size_t l = 0; l < lanes; ++l) {
-      const double br = br_row[l], bi = bi_row[l];
-      const double vr = br * wr - bi * wi;
-      const double vi = br * wi + bi * wr;
-      const double ar = ar_row[l], ai = ai_row[l];
-      ar_row[l] = ar + vr;
-      ai_row[l] = ai + vi;
-      br_row[l] = ar - vr;
-      bi_row[l] = ai - vi;
+  for (std::size_t i = 0; i < n; i += 2 * half) {
+    double* a = flat(data + i);
+    double* b = flat(data + i + half);
+    for (std::size_t k = 0; k < half; ++k) {
+      butterfly_scalar(a + 2 * k, b + 2 * k, wp + 2 * k);
     }
   }
+}
+
+void butterfly_pair_scalar(Complex* data, std::size_t n, std::size_t h,
+                           const Complex* tw1, const Complex* tw2) {
+  const double* w1 = flat(tw1);
+  const double* w2 = flat(tw2);
+  for (std::size_t i = 0; i < n; i += 4 * h) {
+    double* x0 = flat(data + i);
+    double* x1 = x0 + 2 * h;
+    double* x2 = x0 + 4 * h;
+    double* x3 = x0 + 6 * h;
+    for (std::size_t o = 0; o < 2 * h; o += 2) {
+      butterfly_scalar(x0 + o, x1 + o, w1 + o);
+      butterfly_scalar(x2 + o, x3 + o, w1 + o);
+      butterfly_scalar(x0 + o, x2 + o, w2 + o);
+      butterfly_scalar(x1 + o, x3 + o, w2 + 2 * h + o);
+    }
+  }
+}
+
+// One k of Kernels::untangle_real (z, w, out as flat doubles).
+inline void untangle_bin_scalar(const double* z, const double* w, double* out,
+                                std::size_t half, std::size_t k) {
+  const std::size_t m = half - k;
+  const std::size_t zm = k == 0 ? 0 : m;
+  const double ar = z[2 * k], ai = z[2 * k + 1];
+  const double br = z[2 * zm], bi = z[2 * zm + 1];
+  const double er = 0.5 * (ar + br);
+  const double ei = 0.5 * (ai - bi);
+  const double dr = ar - br;
+  const double di = ai + bi;
+  const double odr = 0.0 * dr - (-0.5) * di;
+  const double odi = 0.0 * di + (-0.5) * dr;
+  const double wr = w[2 * k], wi = w[2 * k + 1];
+  out[2 * k] = er + (wr * odr - wi * odi);
+  out[2 * k + 1] = ei + (wr * odi + wi * odr);
+  const double mr = w[2 * m], mi = w[2 * m + 1];
+  out[2 * m] = er + (mr * odr + mi * odi);
+  out[2 * m + 1] = (mi * odr - mr * odi) - ei;
+}
+
+inline void untangle_nyquist(const double* z, double* out, std::size_t half) {
+  out[2 * half] = z[0] - z[1];
+  out[2 * half + 1] = 0.0;
+}
+
+void untangle_real_scalar(const Complex* z, const Complex* w, Complex* out,
+                          std::size_t half) {
+  for (std::size_t k = 0; k <= half / 2; ++k) {
+    untangle_bin_scalar(flat(z), flat(w), flat(out), half, k);
+  }
+  untangle_nyquist(flat(z), flat(out), half);
 }
 
 void cmul_aos_scalar(const Complex* a, const Complex* b, Complex* out,
@@ -141,8 +172,8 @@ double chunk_max_scalar(const double* x, std::size_t n) {
 }
 
 constexpr Kernels kScalarKernels{
-    mul_scalar,         mag_scale_aos_scalar, mag_scale_soa_scalar,
-    butterfly_aos_scalar, butterfly_soa_scalar, cmul_aos_scalar,
+    mul_scalar,           mag_scale_aos_scalar, butterfly_aos_scalar,
+    butterfly_pair_scalar, untangle_real_scalar, cmul_aos_scalar,
     goertzel_iterate_scalar, chunk_max_scalar,
 };
 
@@ -168,21 +199,6 @@ void mul_sse2(const double* a, const double* b, double* out, std::size_t n) {
   for (; i < n; ++i) out[i] = a[i] * b[i];
 }
 
-void mag_scale_soa_sse2(const double* re, const double* im, double scale,
-                        double* out, std::size_t n) {
-  const __m128d s = _mm_set1_pd(scale);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128d r = _mm_loadu_pd(re + i);
-    const __m128d m = _mm_loadu_pd(im + i);
-    const __m128d sum = _mm_add_pd(_mm_mul_pd(r, r), _mm_mul_pd(m, m));
-    _mm_storeu_pd(out + i, _mm_mul_pd(_mm_sqrt_pd(sum), s));
-  }
-  for (; i < n; ++i) {
-    out[i] = std::sqrt(re[i] * re[i] + im[i] * im[i]) * scale;
-  }
-}
-
 void mag_scale_aos_sse2(const Complex* bins, double scale, double* out,
                         std::size_t n) {
   const double* v = flat(bins);
@@ -204,62 +220,63 @@ void mag_scale_aos_sse2(const Complex* bins, double scale, double* out,
   }
 }
 
-// One complex (128 bits) per iteration: v = b*w via the swap/sign-flip
+// One complex (128 bits) per register: v = b*w via the swap/sign-flip
 // identity, then a +- v with plain adds.
-void butterfly_aos_sse2(Complex* a, Complex* b, const Complex* tw,
-                        std::size_t half) {
-  double* ap = flat(a);
-  double* bp = flat(b);
+inline void sse2_butterfly(__m128d& a, __m128d& b, __m128d w) noexcept {
+  const __m128d wr = _mm_unpacklo_pd(w, w);      // [wr, wr]
+  const __m128d wi = _mm_unpackhi_pd(w, w);      // [wi, wi]
+  const __m128d bs = _mm_shuffle_pd(b, b, 0b01);  // [bi, br]
+  // v = [br*wr - bi*wi, bi*wr + br*wi]
+  const __m128d v =
+      _mm_add_pd(_mm_mul_pd(b, wr), sse2_neg_lo(_mm_mul_pd(bs, wi)));
+  const __m128d a0 = a;
+  a = _mm_add_pd(a0, v);
+  b = _mm_sub_pd(a0, v);
+}
+
+// One fused radix-2^2 group: the two butterflies of the first stage,
+// then the two of the second (see Kernels::butterfly_pair).
+inline void sse2_pair_group(double* x0, double* x1, double* x2, double* x3,
+                            const double* w1, const double* w2a,
+                            const double* w2b) noexcept {
+  __m128d y0 = _mm_loadu_pd(x0), y1 = _mm_loadu_pd(x1);
+  __m128d y2 = _mm_loadu_pd(x2), y3 = _mm_loadu_pd(x3);
+  const __m128d t1 = _mm_loadu_pd(w1);
+  sse2_butterfly(y0, y1, t1);
+  sse2_butterfly(y2, y3, t1);
+  sse2_butterfly(y0, y2, _mm_loadu_pd(w2a));
+  sse2_butterfly(y1, y3, _mm_loadu_pd(w2b));
+  _mm_storeu_pd(x0, y0);
+  _mm_storeu_pd(x1, y1);
+  _mm_storeu_pd(x2, y2);
+  _mm_storeu_pd(x3, y3);
+}
+
+void butterfly_aos_sse2(Complex* data, std::size_t n, std::size_t half,
+                        const Complex* tw) {
   const double* wp = flat(tw);
-  for (std::size_t k = 0; k < half; ++k) {
-    const __m128d bv = _mm_loadu_pd(bp + 2 * k);         // [br, bi]
-    const __m128d wv = _mm_loadu_pd(wp + 2 * k);         // [wr, wi]
-    const __m128d wr = _mm_unpacklo_pd(wv, wv);          // [wr, wr]
-    const __m128d wi = _mm_unpackhi_pd(wv, wv);          // [wi, wi]
-    const __m128d bs = _mm_shuffle_pd(bv, bv, 0b01);     // [bi, br]
-    // v = [br*wr - bi*wi, bi*wr + br*wi]
-    const __m128d v =
-        _mm_add_pd(_mm_mul_pd(bv, wr), sse2_neg_lo(_mm_mul_pd(bs, wi)));
-    const __m128d av = _mm_loadu_pd(ap + 2 * k);
-    _mm_storeu_pd(ap + 2 * k, _mm_add_pd(av, v));
-    _mm_storeu_pd(bp + 2 * k, _mm_sub_pd(av, v));
+  for (std::size_t i = 0; i < n; i += 2 * half) {
+    double* a = flat(data + i);
+    double* b = flat(data + i + half);
+    for (std::size_t k = 0; k < half; ++k) {
+      __m128d av = _mm_loadu_pd(a + 2 * k);
+      __m128d bv = _mm_loadu_pd(b + 2 * k);
+      sse2_butterfly(av, bv, _mm_loadu_pd(wp + 2 * k));
+      _mm_storeu_pd(a + 2 * k, av);
+      _mm_storeu_pd(b + 2 * k, bv);
+    }
   }
 }
 
-void butterfly_soa_sse2(double* a_re, double* a_im, double* b_re,
-                        double* b_im, const Complex* tw, std::size_t half,
-                        std::size_t lanes) {
-  const double* wp = flat(tw);
-  for (std::size_t k = 0; k < half; ++k) {
-    const double wr = wp[2 * k], wi = wp[2 * k + 1];
-    const __m128d wrv = _mm_set1_pd(wr);
-    const __m128d wiv = _mm_set1_pd(wi);
-    double* ar_row = a_re + k * lanes;
-    double* ai_row = a_im + k * lanes;
-    double* br_row = b_re + k * lanes;
-    double* bi_row = b_im + k * lanes;
-    std::size_t l = 0;
-    for (; l + 2 <= lanes; l += 2) {
-      const __m128d br = _mm_loadu_pd(br_row + l);
-      const __m128d bi = _mm_loadu_pd(bi_row + l);
-      const __m128d vr = _mm_sub_pd(_mm_mul_pd(br, wrv), _mm_mul_pd(bi, wiv));
-      const __m128d vi = _mm_add_pd(_mm_mul_pd(br, wiv), _mm_mul_pd(bi, wrv));
-      const __m128d ar = _mm_loadu_pd(ar_row + l);
-      const __m128d ai = _mm_loadu_pd(ai_row + l);
-      _mm_storeu_pd(ar_row + l, _mm_add_pd(ar, vr));
-      _mm_storeu_pd(ai_row + l, _mm_add_pd(ai, vi));
-      _mm_storeu_pd(br_row + l, _mm_sub_pd(ar, vr));
-      _mm_storeu_pd(bi_row + l, _mm_sub_pd(ai, vi));
-    }
-    for (; l < lanes; ++l) {
-      const double br = br_row[l], bi = bi_row[l];
-      const double vr = br * wr - bi * wi;
-      const double vi = br * wi + bi * wr;
-      const double ar = ar_row[l], ai = ai_row[l];
-      ar_row[l] = ar + vr;
-      ai_row[l] = ai + vi;
-      br_row[l] = ar - vr;
-      bi_row[l] = ai - vi;
+void butterfly_pair_sse2(Complex* data, std::size_t n, std::size_t h,
+                         const Complex* tw1, const Complex* tw2) {
+  const double* w1 = flat(tw1);
+  const double* w2 = flat(tw2);
+  for (std::size_t i = 0; i < n; i += 4 * h) {
+    double* x0 = flat(data + i);
+    for (std::size_t o = 0; o < 2 * h; o += 2) {
+      sse2_pair_group(x0 + o, x0 + 2 * h + o, x0 + 4 * h + o,
+                      x0 + 6 * h + o, w1 + o, w2 + o, w2 + 2 * h + o);
     }
   }
 }
@@ -318,9 +335,12 @@ double chunk_max_sse2(const double* x, std::size_t n) {
   return best;
 }
 
+// The untangle mixes each bin with its mirror; one complex per SSE2
+// register gains nothing over the scalar reference, which this table
+// reuses.
 constexpr Kernels kSse2Kernels{
-    mul_sse2,         mag_scale_aos_sse2, mag_scale_soa_sse2,
-    butterfly_aos_sse2, butterfly_soa_sse2, cmul_aos_sse2,
+    mul_sse2,           mag_scale_aos_sse2,   butterfly_aos_sse2,
+    butterfly_pair_sse2, untangle_real_scalar, cmul_aos_sse2,
     goertzel_iterate_sse2, chunk_max_sse2,
 };
 
@@ -340,21 +360,6 @@ MDN_AVX2 void mul_avx2(const double* a, const double* b, double* out,
         out + i, _mm256_mul_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i)));
   }
   for (; i < n; ++i) out[i] = a[i] * b[i];
-}
-
-MDN_AVX2 void mag_scale_soa_avx2(const double* re, const double* im,
-                                 double scale, double* out, std::size_t n) {
-  const __m256d s = _mm256_set1_pd(scale);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d r = _mm256_loadu_pd(re + i);
-    const __m256d m = _mm256_loadu_pd(im + i);
-    const __m256d sum = _mm256_add_pd(_mm256_mul_pd(r, r), _mm256_mul_pd(m, m));
-    _mm256_storeu_pd(out + i, _mm256_mul_pd(_mm256_sqrt_pd(sum), s));
-  }
-  for (; i < n; ++i) {
-    out[i] = std::sqrt(re[i] * re[i] + im[i] * im[i]) * scale;
-  }
 }
 
 MDN_AVX2 void mag_scale_aos_avx2(const Complex* bins, double scale,
@@ -379,72 +384,133 @@ MDN_AVX2 void mag_scale_aos_avx2(const Complex* bins, double scale,
   }
 }
 
-// Two complex values (256 bits) per iteration.  addsub computes
+// Two complex values (256 bits) per register.  addsub computes
 // [lo - x, hi + y] per 128-bit half — exactly vr = br*wr - bi*wi in the
 // even lanes and vi = bi*wr + br*wi in the odd lanes.
-MDN_AVX2 void butterfly_aos_avx2(Complex* a, Complex* b, const Complex* tw,
-                                 std::size_t half) {
-  double* ap = flat(a);
-  double* bp = flat(b);
-  const double* wp = flat(tw);
-  std::size_t k = 0;
-  for (; k + 2 <= half; k += 2) {
-    const __m256d bv = _mm256_loadu_pd(bp + 2 * k);  // [br0 bi0 br1 bi1]
-    const __m256d wv = _mm256_loadu_pd(wp + 2 * k);  // [wr0 wi0 wr1 wi1]
-    const __m256d wr = _mm256_permute_pd(wv, 0b0000);  // [wr0 wr0 wr1 wr1]
-    const __m256d wi = _mm256_permute_pd(wv, 0b1111);  // [wi0 wi0 wi1 wi1]
-    const __m256d bs = _mm256_permute_pd(bv, 0b0101);  // [bi0 br0 bi1 br1]
-    const __m256d v =
-        _mm256_addsub_pd(_mm256_mul_pd(bv, wr), _mm256_mul_pd(bs, wi));
-    const __m256d av = _mm256_loadu_pd(ap + 2 * k);
-    _mm256_storeu_pd(ap + 2 * k, _mm256_add_pd(av, v));
-    _mm256_storeu_pd(bp + 2 * k, _mm256_sub_pd(av, v));
-  }
-  if (k < half) butterfly_aos_sse2(a + k, b + k, tw + k, half - k);
+MDN_AVX2 inline void avx2_butterfly(__m256d& a, __m256d& b,
+                                    __m256d w) noexcept {
+  const __m256d wr = _mm256_permute_pd(w, 0b0000);  // [wr0 wr0 wr1 wr1]
+  const __m256d wi = _mm256_permute_pd(w, 0b1111);  // [wi0 wi0 wi1 wi1]
+  const __m256d bs = _mm256_permute_pd(b, 0b0101);  // [bi0 br0 bi1 br1]
+  const __m256d v =
+      _mm256_addsub_pd(_mm256_mul_pd(b, wr), _mm256_mul_pd(bs, wi));
+  const __m256d a0 = a;
+  a = _mm256_add_pd(a0, v);
+  b = _mm256_sub_pd(a0, v);
 }
 
-MDN_AVX2 void butterfly_soa_avx2(double* a_re, double* a_im, double* b_re,
-                                 double* b_im, const Complex* tw,
-                                 std::size_t half, std::size_t lanes) {
-  if (lanes < 4) {
-    butterfly_soa_sse2(a_re, a_im, b_re, b_im, tw, half, lanes);
+// With half (or h) == 1 there are no two neighbouring k to share a
+// register, so that pass runs the SSE2 kernel; odd tails (which the
+// power-of-two FFT never has) finish one complex at a time.
+MDN_AVX2 void butterfly_aos_avx2(Complex* data, std::size_t n,
+                                 std::size_t half, const Complex* tw) {
+  if (half < 2) {
+    butterfly_aos_sse2(data, n, half, tw);
     return;
   }
   const double* wp = flat(tw);
-  for (std::size_t k = 0; k < half; ++k) {
-    const double wr = wp[2 * k], wi = wp[2 * k + 1];
-    const __m256d wrv = _mm256_set1_pd(wr);
-    const __m256d wiv = _mm256_set1_pd(wi);
-    double* ar_row = a_re + k * lanes;
-    double* ai_row = a_im + k * lanes;
-    double* br_row = b_re + k * lanes;
-    double* bi_row = b_im + k * lanes;
-    std::size_t l = 0;
-    for (; l + 4 <= lanes; l += 4) {
-      const __m256d br = _mm256_loadu_pd(br_row + l);
-      const __m256d bi = _mm256_loadu_pd(bi_row + l);
-      const __m256d vr =
-          _mm256_sub_pd(_mm256_mul_pd(br, wrv), _mm256_mul_pd(bi, wiv));
-      const __m256d vi =
-          _mm256_add_pd(_mm256_mul_pd(br, wiv), _mm256_mul_pd(bi, wrv));
-      const __m256d ar = _mm256_loadu_pd(ar_row + l);
-      const __m256d ai = _mm256_loadu_pd(ai_row + l);
-      _mm256_storeu_pd(ar_row + l, _mm256_add_pd(ar, vr));
-      _mm256_storeu_pd(ai_row + l, _mm256_add_pd(ai, vi));
-      _mm256_storeu_pd(br_row + l, _mm256_sub_pd(ar, vr));
-      _mm256_storeu_pd(bi_row + l, _mm256_sub_pd(ai, vi));
+  for (std::size_t i = 0; i < n; i += 2 * half) {
+    double* a = flat(data + i);
+    double* b = flat(data + i + half);
+    std::size_t o = 0;
+    for (; o + 4 <= 2 * half; o += 4) {
+      __m256d av = _mm256_loadu_pd(a + o);  // [ar0 ai0 ar1 ai1]
+      __m256d bv = _mm256_loadu_pd(b + o);
+      avx2_butterfly(av, bv, _mm256_loadu_pd(wp + o));
+      _mm256_storeu_pd(a + o, av);
+      _mm256_storeu_pd(b + o, bv);
     }
-    for (; l < lanes; ++l) {
-      const double br = br_row[l], bi = bi_row[l];
-      const double vr = br * wr - bi * wi;
-      const double vi = br * wi + bi * wr;
-      const double ar = ar_row[l], ai = ai_row[l];
-      ar_row[l] = ar + vr;
-      ai_row[l] = ai + vi;
-      br_row[l] = ar - vr;
-      bi_row[l] = ai - vi;
+    if (o < 2 * half) {
+      __m128d av = _mm_loadu_pd(a + o);
+      __m128d bv = _mm_loadu_pd(b + o);
+      sse2_butterfly(av, bv, _mm_loadu_pd(wp + o));
+      _mm_storeu_pd(a + o, av);
+      _mm_storeu_pd(b + o, bv);
     }
   }
+}
+
+MDN_AVX2 void butterfly_pair_avx2(Complex* data, std::size_t n,
+                                  std::size_t h, const Complex* tw1,
+                                  const Complex* tw2) {
+  if (h < 2) {
+    butterfly_pair_sse2(data, n, h, tw1, tw2);
+    return;
+  }
+  const double* w1 = flat(tw1);
+  const double* w2 = flat(tw2);
+  for (std::size_t i = 0; i < n; i += 4 * h) {
+    double* x0 = flat(data + i);
+    double* x1 = x0 + 2 * h;
+    double* x2 = x0 + 4 * h;
+    double* x3 = x0 + 6 * h;
+    std::size_t o = 0;
+    for (; o + 4 <= 2 * h; o += 4) {
+      __m256d y0 = _mm256_loadu_pd(x0 + o), y1 = _mm256_loadu_pd(x1 + o);
+      __m256d y2 = _mm256_loadu_pd(x2 + o), y3 = _mm256_loadu_pd(x3 + o);
+      const __m256d t1 = _mm256_loadu_pd(w1 + o);
+      avx2_butterfly(y0, y1, t1);
+      avx2_butterfly(y2, y3, t1);
+      avx2_butterfly(y0, y2, _mm256_loadu_pd(w2 + o));
+      avx2_butterfly(y1, y3, _mm256_loadu_pd(w2 + 2 * h + o));
+      _mm256_storeu_pd(x0 + o, y0);
+      _mm256_storeu_pd(x1 + o, y1);
+      _mm256_storeu_pd(x2 + o, y2);
+      _mm256_storeu_pd(x3 + o, y3);
+    }
+    if (o < 2 * h) {
+      sse2_pair_group(x0 + o, x1 + o, x2 + o, x3 + o, w1 + o, w2 + o,
+                      w2 + 2 * h + o);
+    }
+  }
+}
+
+// Bins k, k+1 and their mirrors half-k, half-k-1 per iteration; the
+// mirrored loads and stores swap 128-bit halves so every lane pairs a
+// bin with its own mirror.  Sign flips on the odd (imaginary) lanes turn
+// the scalar's subtractions into the additions they equal bitwise.
+MDN_AVX2 void untangle_real_avx2(const Complex* zc, const Complex* wc,
+                                 Complex* outc, std::size_t half) {
+  const double* z = flat(zc);
+  const double* w = flat(wc);
+  double* out = flat(outc);
+  untangle_bin_scalar(z, w, out, half, 0);
+  const __m256d neg_im = _mm256_set_pd(-0.0, 0.0, -0.0, 0.0);
+  const __m256d half_v = _mm256_set1_pd(0.5);
+  const __m256d zero_v = _mm256_setzero_pd();
+  const __m256d neg_half_v = _mm256_set1_pd(-0.5);
+  std::size_t k = 1;
+  for (; k + 1 <= half / 2; k += 2) {
+    const std::size_t m1 = half - k - 1;
+    const __m256d a = _mm256_loadu_pd(z + 2 * k);  // z[k], z[k+1]
+    const __m256d b_rev = _mm256_loadu_pd(z + 2 * m1);
+    const __m256d b = _mm256_permute2f128_pd(b_rev, b_rev, 0x01);
+    const __m256d bc = _mm256_xor_pd(b, neg_im);  // [br, -bi]
+    const __m256d e = _mm256_mul_pd(half_v, _mm256_add_pd(a, bc));
+    const __m256d d = _mm256_sub_pd(a, bc);
+    const __m256d o =
+        _mm256_addsub_pd(_mm256_mul_pd(d, zero_v),
+                         _mm256_mul_pd(_mm256_permute_pd(d, 0b0101),
+                                       neg_half_v));  // [or, oi]
+    const __m256d os = _mm256_permute_pd(o, 0b0101);  // [oi, or]
+
+    const __m256d wk = _mm256_loadu_pd(w + 2 * k);
+    const __m256d v = _mm256_addsub_pd(
+        _mm256_mul_pd(o, _mm256_permute_pd(wk, 0b0000)),
+        _mm256_mul_pd(os, _mm256_permute_pd(wk, 0b1111)));
+    _mm256_storeu_pd(out + 2 * k, _mm256_add_pd(e, v));
+
+    const __m256d wm_rev = _mm256_loadu_pd(w + 2 * m1);
+    const __m256d wm = _mm256_permute2f128_pd(wm_rev, wm_rev, 0x01);
+    const __m256d x = _mm256_mul_pd(o, _mm256_permute_pd(wm, 0b0000));
+    const __m256d y = _mm256_mul_pd(os, _mm256_permute_pd(wm, 0b1111));
+    const __m256d u = _mm256_add_pd(y, _mm256_xor_pd(x, neg_im));
+    const __m256d mirror = _mm256_add_pd(u, _mm256_xor_pd(e, neg_im));
+    _mm256_storeu_pd(out + 2 * m1,
+                     _mm256_permute2f128_pd(mirror, mirror, 0x01));
+  }
+  for (; k <= half / 2; ++k) untangle_bin_scalar(z, w, out, half, k);
+  untangle_nyquist(z, out, half);
 }
 
 MDN_AVX2 void cmul_aos_avx2(const Complex* a, const Complex* b, Complex* out,
@@ -508,8 +574,8 @@ MDN_AVX2 double chunk_max_avx2(const double* x, std::size_t n) {
 }
 
 constexpr Kernels kAvx2Kernels{
-    mul_avx2,         mag_scale_aos_avx2, mag_scale_soa_avx2,
-    butterfly_aos_avx2, butterfly_soa_avx2, cmul_aos_avx2,
+    mul_avx2,           mag_scale_aos_avx2, butterfly_aos_avx2,
+    butterfly_pair_avx2, untangle_real_avx2, cmul_aos_avx2,
     goertzel_iterate_avx2, chunk_max_avx2,
 };
 

@@ -1,8 +1,8 @@
 // SIMD kernel dispatch for the DSP hot path.
 //
 // The detection loop spends its time in four elementwise passes —
-// window multiply, FFT butterflies, Goertzel recurrences and spectrum
-// magnitudes.  Each has a vectorised AVX2 and SSE2 implementation plus
+// window multiply, FFT butterflies (one stage, or two fused), Goertzel
+// recurrences and spectrum magnitudes.  Each has a vectorised AVX2 and SSE2 implementation plus
 // a scalar reference, selected once at startup by runtime CPU
 // detection and reached through a table of function pointers, so the
 // per-call cost of dispatch is one pointer load.
@@ -51,25 +51,42 @@ struct Kernels {
   void (*mag_scale_aos)(const Complex* bins, double scale, double* out,
                         std::size_t n);
 
-  /// out[i] = sqrt(re[i]^2 + im[i]^2) * scale  (split re/im arrays).
-  void (*mag_scale_soa)(const double* re, const double* im, double scale,
-                        double* out, std::size_t n);
+  /// One radix-2 FFT stage over all of `data` (n a multiple of
+  /// 2*half): for every block base i (step 2*half) and k in [0, half),
+  /// with a = data[i+k] and b = data[i+k+half]:
+  ///   v = b * tw[k]   (vr = br*wr - bi*wi, vi = br*wi + bi*wr)
+  ///   b = a - v,  a = a + v
+  void (*butterfly_aos)(Complex* data, std::size_t n, std::size_t half,
+                        const Complex* tw);
 
-  /// One FFT butterfly slice over contiguous k in [0, half):
-  ///   v    = b[k] * tw[k]   (vr = br*wr - bi*wi, vi = br*wi + bi*wr)
-  ///   b[k] = a[k] - v,  a[k] = a[k] + v
-  void (*butterfly_aos)(Complex* a, Complex* b, const Complex* tw,
+  /// Two consecutive radix-2 stages fused into one pass (radix-2^2)
+  /// over all of `data` (n a multiple of 4*h): stage len = 2h with
+  /// twiddles tw1[0, h), then stage 2*len with tw2[0, 2h).  For every
+  /// block base i (step 4h) and k in [0, h) the group
+  ///   x0 = data[i+k], x1 = [+h], x2 = [+2h], x3 = [+3h]
+  /// runs, in registers, exactly the four butterfly_aos butterflies the
+  /// two stages would apply to it one pass at a time:
+  ///   (x0, x1) by tw1[k], (x2, x3) by tw1[k], then
+  ///   (x0, x2) by tw2[k], (x1, x3) by tw2[k+h]
+  /// — so the result is bit-identical to two stage passes, with half
+  /// the sweeps over data and twiddles.
+  void (*butterfly_pair)(Complex* data, std::size_t n, std::size_t h,
+                         const Complex* tw1, const Complex* tw2);
+
+  /// The packed-real FFT's untangle (half >= 1): from the half-size spectrum
+  /// z[0, half) of x[2i] + i*x[2i+1] and the coefficients
+  /// w[k] = exp(-2*pi*i*k/(2*half)), k in [0, half], writes the bins
+  /// out[0, half].  For k in [0, half/2], with m = half - k, z[half] read
+  /// as z[0], and k ascending (so out[half/2] ends as the mirror value):
+  ///   er = 0.5*(ar + br),   ei = 0.5*(ai - bi)     (a = z[k], b = z[m])
+  ///   dr = ar - br,         di = ai + bi
+  ///   or = 0.0*dr - (-0.5)*di,   oi = 0.0*di + (-0.5)*dr
+  ///   out[k] = (er + (wr*or - wi*oi), ei + (wr*oi + wi*or))   (w = w[k])
+  ///   out[m] = (er + (mr*or + mi*oi), (mi*or - mr*oi) - ei)   (w[m])
+  /// then out[half] = (z[0].re - z[0].im, 0).  These are the exact
+  /// operations of the std::complex form E + w*O, conj(E) + w*conj(O).
+  void (*untangle_real)(const Complex* z, const Complex* w, Complex* out,
                         std::size_t half);
-
-  /// The same butterfly slice over `lanes` independent channels stored
-  /// SoA: row k lives at offset k*lanes, and tw[k] is broadcast across
-  /// the row.  One call covers a whole (stage, block) slice so the
-  /// indirect-call cost amortises over half*lanes butterflies:
-  ///   v         = b_row[k] * tw[k]
-  ///   b_row[k]  = a_row[k] - v,  a_row[k] = a_row[k] + v
-  void (*butterfly_soa)(double* a_re, double* a_im, double* b_re,
-                        double* b_im, const Complex* tw, std::size_t half,
-                        std::size_t lanes);
 
   /// out[i] = a[i] * b[i] (complex, AoS): re = ar*br - ai*bi,
   /// im = ar*bi + ai*br.  `out` may alias `a`.

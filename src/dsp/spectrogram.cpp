@@ -78,6 +78,7 @@ Spectrogram stft(std::span<const double> signal, double sample_rate,
   const auto plan = PlanCache::global().real_plan(config.fft_size);
   SpectrumWorkspace ws(*plan);
   const auto window = make_window(config.window, config.fft_size);
+  const double gain = window_coherent_gain(window);
   std::vector<double> chunk(config.fft_size);
   for (std::size_t f = 0; f < frames; ++f) {
     const std::size_t start = f * config.hop;
@@ -89,7 +90,7 @@ Spectrogram stft(std::span<const double> signal, double sample_rate,
                 chunk.begin());
     std::fill(chunk.begin() + static_cast<std::ptrdiff_t>(avail), chunk.end(),
               0.0);
-    amplitude_spectrum_into(chunk, window, *plan, ws, out.frame(f));
+    amplitude_spectrum_into(chunk, window, gain, *plan, ws, out.frame(f));
   }
   return out;
 }

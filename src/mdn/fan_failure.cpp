@@ -13,7 +13,8 @@ FanFailureDetector::FanFailureDetector(double sample_rate,
     : sample_rate_(sample_rate),
       config_(config),
       plan_(dsp::PlanCache::global().real_plan(config.fft_size)),
-      window_(dsp::make_window(config.window, config.fft_size)) {
+      window_(dsp::make_window(config.window, config.fft_size)),
+      window_gain_(dsp::window_coherent_gain(window_)) {
   if (sample_rate <= 0.0) {
     throw std::invalid_argument("FanFailureDetector: sample rate");
   }
@@ -38,8 +39,8 @@ void FanFailureDetector::band_spectrum_into(std::span<const double> segment,
   if (scratch.spectrum.size() < plan_->bins()) {
     scratch.spectrum.resize(plan_->bins());
   }
-  dsp::amplitude_spectrum_into(scratch.chunk, window_, *plan_, scratch.ws,
-                               scratch.spectrum);
+  dsp::amplitude_spectrum_into(scratch.chunk, window_, window_gain_, *plan_,
+                               scratch.ws, scratch.spectrum);
 
   band.clear();
   for (std::size_t k = band_lo_bin_;

@@ -81,6 +81,7 @@ class FanFailureDetector {
   FanDetectorConfig config_;
   std::shared_ptr<const dsp::RealFftPlan> plan_;
   std::vector<double> window_;
+  double window_gain_;
   std::size_t band_lo_bin_ = 0;
   std::size_t band_hi_bin_ = 0;  // inclusive
   std::vector<double> reference_;  // mean in-band amplitude spectrum

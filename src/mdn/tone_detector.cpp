@@ -1,7 +1,6 @@
 #include "mdn/tone_detector.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <optional>
 #include <stdexcept>
@@ -22,12 +21,11 @@ struct DetectScratch {
   dsp::SpectrumWorkspace ws;
   std::vector<double> spectrum;
   std::vector<dsp::SpectralPeak> peaks;
-  // Batched path: the SoA workspace plus one spectrum slice per lane.
-  dsp::BatchSpectrumWorkspace batch_ws;
-  std::vector<double> batch_spectrum;
-  // Fallback window for block lengths the detector was not configured
-  // for (cold path; cached per thread so repeats stay allocation-free).
+  // Fallback window (and its gain) for block lengths the detector was
+  // not configured for (cold path; cached per thread so repeats stay
+  // allocation-free).
   std::vector<double> window;
+  double window_gain = 0.0;
   dsp::WindowKind window_kind = dsp::WindowKind::kRectangular;
 };
 
@@ -42,6 +40,8 @@ ToneDetector::ToneDetector(const ToneDetectorConfig& config)
     : config_(config),
       plan_(dsp::PlanCache::global().real_plan(config.fft_size)),
       window_(dsp::make_window(config.window, config.fft_size)),
+      window_gain_(dsp::window_coherent_gain(window_)),
+      block_window_gain_(0.0),
       fft_wall_ns_(&obs::Registry::global().histogram("dsp/fft/wall_ns")),
       goertzel_wall_ns_(
           &obs::Registry::global().histogram("dsp/goertzel/wall_ns")) {
@@ -53,6 +53,7 @@ ToneDetector::ToneDetector(const ToneDetectorConfig& config)
   // own precomputed window.
   if (config.block_size > 0 && config.block_size < config.fft_size) {
     block_window_ = dsp::make_window(config.window, config.block_size);
+    block_window_gain_ = dsp::window_coherent_gain(block_window_);
   }
   // First registry consumer with kernel access: publish which SIMD path
   // (avx2/sse2/scalar) will produce every number this detector reports.
@@ -75,28 +76,45 @@ void ToneDetector::detect_into(std::span<const double> block,
   detect_impl(block, out, stats);
 }
 
-std::span<const double> ToneDetector::window_for(
-    std::size_t n, std::vector<double>& cache,
-    dsp::WindowKind& cache_kind) const {
-  if (n == config_.fft_size) return window_;
-  if (n == block_window_.size()) return block_window_;
-  if (cache.size() != n || cache_kind != config_.window) {
-    cache = dsp::make_window(config_.window, n);
-    cache_kind = config_.window;
-  }
-  return cache;
-}
+void ToneDetector::detect_impl(std::span<const double> block,
+                               std::vector<DetectedTone>& out,
+                               obs::BlockSignalStats* stats) const {
+  out.clear();
+  if (stats != nullptr) *stats = {};
+  // Window the data (not the pad) and zero-pad up to the FFT size, so a
+  // 50 ms block keeps its full spectral resolution and the pad only
+  // interpolates between bins.
+  const std::size_t n = std::min(block.size(), config_.fft_size);
+  if (n == 0) return;
+  const auto data = block.first(n);
 
-void ToneDetector::finish_block(std::span<const double> data,
-                                std::span<const double> spectrum,
-                                std::vector<dsp::SpectralPeak>& peaks,
-                                std::vector<DetectedTone>& out,
-                                obs::BlockSignalStats* stats) const {
+  DetectScratch& scratch = detect_scratch();
+  std::span<const double> window = window_;
+  double gain = window_gain_;
+  if (n == block_window_.size()) {
+    window = block_window_;
+    gain = block_window_gain_;
+  } else if (n != config_.fft_size) {
+    if (scratch.window.size() != n || scratch.window_kind != config_.window) {
+      scratch.window = dsp::make_window(config_.window, n);
+      scratch.window_gain = dsp::window_coherent_gain(scratch.window);
+      scratch.window_kind = config_.window;
+    }
+    window = scratch.window;
+    gain = scratch.window_gain;
+  }
+
+  const std::size_t bins = plan_->bins();
+  if (scratch.spectrum.size() < bins) scratch.spectrum.resize(bins);
+  const std::span<const double> spectrum(scratch.spectrum.data(), bins);
+  dsp::amplitude_spectrum_into(data, window, gain, *plan_, scratch.ws,
+                               scratch.spectrum);
+
   // Padding interpolates the spectrum, so one spectral lobe spans
   // ~pad_factor more bins; widen the peak neighbourhood accordingly.
-  const std::size_t n = data.size();
   const std::size_t pad_factor = config_.fft_size / n;
   const std::size_t neighborhood = std::max<std::size_t>(2, 2 * pad_factor);
+  std::vector<dsp::SpectralPeak>& peaks = scratch.peaks;
   dsp::find_peaks_into(spectrum, config_.sample_rate, config_.fft_size,
                        config_.min_amplitude, neighborhood, peaks);
   for (const auto& p : peaks) {
@@ -108,7 +126,6 @@ void ToneDetector::finish_block(std::span<const double> data,
     for (const double s : data) energy += s * s;
     stats->rms = std::sqrt(energy / static_cast<double>(n));
 
-    const std::size_t bins = spectrum.size();
     double total = 0.0;
     for (std::size_t b = 0; b < bins; ++b) total += spectrum[b];
     // Excise every peak's +-neighbourhood from the mean; peaks arrive in
@@ -139,128 +156,18 @@ void ToneDetector::finish_block(std::span<const double> data,
   }
 }
 
-void ToneDetector::detect_impl(std::span<const double> block,
-                               std::vector<DetectedTone>& out,
-                               obs::BlockSignalStats* stats) const {
-  out.clear();
-  if (stats != nullptr) *stats = {};
-  // Window the data (not the pad) and zero-pad up to the FFT size, so a
-  // 50 ms block keeps its full spectral resolution and the pad only
-  // interpolates between bins.
-  const std::size_t n = std::min(block.size(), config_.fft_size);
-  if (n == 0) return;
-  const auto data = block.first(n);
-
-  DetectScratch& scratch = detect_scratch();
-  const std::span<const double> window =
-      window_for(n, scratch.window, scratch.window_kind);
-
-  if (scratch.spectrum.size() < plan_->bins()) {
-    scratch.spectrum.resize(plan_->bins());
-  }
-  dsp::amplitude_spectrum_into(data, window, *plan_, scratch.ws,
-                               scratch.spectrum);
-  finish_block(data,
-               std::span<const double>(scratch.spectrum.data(), plan_->bins()),
-               scratch.peaks, out, stats);
-}
-
-void ToneDetector::detect_batch_impl(
-    std::span<const std::span<const double>> blocks,
-    std::span<std::vector<DetectedTone>* const> outs,
-    std::span<obs::BlockSignalStats* const> stats) const {
-  const std::size_t count = blocks.size();
-  DetectScratch& scratch = detect_scratch();
-  const std::size_t bins = plan_->bins();
-  std::size_t i = 0;
-  while (i < count) {
-    obs::BlockSignalStats* first_stats = stats.empty() ? nullptr : stats[i];
-    const std::size_t len = blocks[i].size();
-    const std::size_t n = std::min(len, config_.fft_size);
-    // Fuse the run of following equal-length blocks, up to the batch
-    // width; anything else (odd lengths, unbatchable plan) takes the
-    // single-block path and the loop continues behind it.
-    std::size_t run = 1;
-    if (n > 0 && plan_->supports_batch()) {
-      while (run < kMaxDetectBatch && i + run < count &&
-             blocks[i + run].size() == len) {
-        ++run;
-      }
-    }
-    if (run == 1) {
-      detect_impl(blocks[i], *outs[i], first_stats);
-      ++i;
-      continue;
-    }
-
-    const std::span<const double> window =
-        window_for(n, scratch.window, scratch.window_kind);
-    if (scratch.batch_spectrum.size() < bins * kMaxDetectBatch) {
-      scratch.batch_spectrum.resize(bins * kMaxDetectBatch);
-    }
-    std::array<std::span<const double>, kMaxDetectBatch> sigs;
-    std::array<std::span<double>, kMaxDetectBatch> specs;
-    for (std::size_t l = 0; l < run; ++l) {
-      sigs[l] = blocks[i + l].first(n);
-      specs[l] = std::span<double>(scratch.batch_spectrum.data() + l * bins,
-                                   bins);
-    }
-    dsp::amplitude_spectrum_batch_into(
-        std::span<const std::span<const double>>(sigs.data(), run), window,
-        *plan_, scratch.batch_ws,
-        std::span<const std::span<double>>(specs.data(), run));
-    for (std::size_t l = 0; l < run; ++l) {
-      obs::BlockSignalStats* block_stats =
-          stats.empty() ? nullptr : stats[i + l];
-      outs[i + l]->clear();
-      if (block_stats != nullptr) *block_stats = {};
-      finish_block(sigs[l], specs[l], scratch.peaks, *outs[i + l],
-                   block_stats);
-    }
-    i += run;
-  }
-}
-
-void ToneDetector::detect_batch_into(
-    std::span<const std::span<const double>> blocks,
-    std::span<std::vector<DetectedTone>* const> outs,
-    std::span<obs::BlockSignalStats* const> stats) const {
-  if (outs.size() != blocks.size() ||
-      (!stats.empty() && stats.size() != blocks.size())) {
-    throw std::invalid_argument(
-        "ToneDetector::detect_batch_into: span size mismatch");
-  }
-  if (blocks.empty()) return;
-  // One wall-time sample per block for two clock reads per batch.
-  obs::Span span(fft_wall_ns_, nullptr, {}, 0, 0, /*samples=*/blocks.size());
-  detect_batch_impl(blocks, outs, stats);
-}
-
 void ToneDetector::warm_up() const {
-  // Cold path by design: run one silent single-block and one silent
-  // batched detection so plan tables, the SIMD dispatch table and this
-  // thread's grow-once scratch all materialise here — the
-  // multi-millisecond first-execute costs never land in the steady-state
-  // histograms (nothing is recorded on this path).
+  // Cold path by design: run one silent detection so plan tables, the
+  // SIMD dispatch table and this thread's grow-once scratch all
+  // materialise here — the multi-millisecond first-execute costs never
+  // land in the steady-state histograms (nothing is recorded on this
+  // path).
   const std::size_t len =
       config_.block_size > 0 ? config_.block_size : config_.fft_size;
   std::vector<double> silence(len, 0.0);
   std::vector<DetectedTone> tones;
   obs::BlockSignalStats block_stats;
   detect_impl(silence, tones, &block_stats);
-  if (plan_->supports_batch()) {
-    std::array<std::span<const double>, kMaxDetectBatch> blocks;
-    std::array<std::vector<DetectedTone>, kMaxDetectBatch> storage;
-    std::array<std::vector<DetectedTone>*, kMaxDetectBatch> outs;
-    for (std::size_t l = 0; l < kMaxDetectBatch; ++l) {
-      blocks[l] = silence;
-      outs[l] = &storage[l];
-    }
-    detect_batch_impl(
-        std::span<const std::span<const double>>(blocks.data(), blocks.size()),
-        std::span<std::vector<DetectedTone>* const>(outs.data(), outs.size()),
-        {});
-  }
   dsp::simd::export_dispatch_metrics();
 }
 

@@ -1,5 +1,5 @@
 // The per-block onset decision of the listening application (§3, Fig 1),
-// written once: MdnController::tick, rt::WorkerPool::process_batch and
+// written once: MdnController::tick, rt::WorkerPool::process_block and
 // extract_tone_events all call match_watches(), so a detector fix lands
 // in one place.  What an onset does is the caller's hook (a template
 // parameter: no std::function on the hot path).

@@ -48,8 +48,6 @@ StreamRuntime::StreamRuntime(StreamRuntimeConfig config)
                    : 0.0) {
   if (config_.workers == 0) config_.workers = 1;
   if (config_.ring_capacity == 0) config_.ring_capacity = 2;
-  config_.batch_max = std::clamp<std::size_t>(
-      config_.batch_max, 1, core::ToneDetector::kMaxDetectBatch);
   auto& registry = obs::Registry::global();
   submitted_counter_ = &registry.counter("rt/runtime/blocks_submitted");
   drops_oldest_counter_ = &registry.counter("rt/runtime/drops_oldest");
@@ -98,12 +96,11 @@ void StreamRuntime::start() {
   // Enough recycled buffers for every ring slot plus blocks in flight.
   const std::size_t pool_size =
       queues_.size() * config_.ring_capacity +
-      config_.workers * config_.batch_max + queues_.size() + 1;
+      config_.workers + queues_.size() + 1;
   free_buffers_ = std::make_unique<RingBuffer<std::vector<double>>>(pool_size);
   pool_ = std::make_unique<WorkerPool>(detector_, config_.watch_hz, queues_,
                                        merge_, *free_buffers_,
-                                       config_.workers, config_.health,
-                                       config_.batch_max);
+                                       config_.workers, config_.health);
   pool_->start();
 }
 

@@ -1,6 +1,5 @@
 #include "rt/worker_pool.h"
 
-#include <algorithm>
 #include <span>
 #include <string>
 
@@ -15,17 +14,14 @@ WorkerPool::WorkerPool(const core::ToneDetector& detector,
                        OrderedMerge& merge,
                        RingBuffer<std::vector<double>>& free_buffers,
                        std::size_t workers,
-                       obs::Health* health,
-                       std::size_t batch_max)
+                       obs::Health* health)
     : detector_(detector),
       watch_hz_(std::move(watch_hz)),
       queues_(queues),
       merge_(merge),
       free_buffers_(free_buffers),
       workers_(workers == 0 ? 1 : workers),
-      health_(health),
-      batch_max_(std::clamp<std::size_t>(
-          batch_max, 1, core::ToneDetector::kMaxDetectBatch)) {
+      health_(health) {
   auto& registry = obs::Registry::global();
   processed_counter_ = &registry.counter("rt/runtime/blocks_processed");
   events_counter_ = &registry.counter("rt/runtime/events");
@@ -73,7 +69,8 @@ void WorkerPool::run_worker(std::size_t index) {
   warmed_.fetch_add(1, std::memory_order_release);
 
   obs::Histogram* wall_ns = block_wall_ns_[index];
-  BatchScratch scratch;
+  AudioBlock block;
+  std::vector<core::DetectedTone> tones;
   std::vector<char> closed(queues_.size(), 0);
   for (;;) {
     bool did_work = false;
@@ -81,16 +78,12 @@ void WorkerPool::run_worker(std::size_t index) {
     for (std::size_t mic = index; mic < queues_.size(); mic += workers_) {
       if (closed[mic]) continue;
       MicQueue& q = *queues_[mic];
-      // Drain up to batch_max_ ready blocks of this mic — popped in seq
-      // order, fused into one batched detection.
+      // One ready block of this mic per visit, in seq order.
       const DrainStep step = drain_or_close(
-          q.ring, producers_done_,
-          std::span<AudioBlock>(scratch.blocks.data(), batch_max_));
+          q.ring, producers_done_, std::span<AudioBlock>(&block, 1));
       if (step.popped > 0) {
-        if (q.depth != nullptr) {
-          q.depth->add(-static_cast<std::int64_t>(step.popped));
-        }
-        process_batch(scratch, step.popped, latch_[mic], wall_ns);
+        if (q.depth != nullptr) q.depth->add(-1);
+        process_block(block, tones, latch_[mic], wall_ns);
         did_work = true;
         all_closed = false;
       } else if (step.closed) {
@@ -106,80 +99,54 @@ void WorkerPool::run_worker(std::size_t index) {
   }
 }
 
-void WorkerPool::process_batch(BatchScratch& scratch, std::size_t count,
+void WorkerPool::process_block(AudioBlock& block,
+                               std::vector<core::DetectedTone>& tones,
                                std::span<char> latch,
                                obs::Histogram* wall_ns) {
-  obs::Span span(wall_ns, nullptr, {}, 0, 0, /*samples=*/count);
-  // One batched detection (consecutive seqs of one mic), then each block
-  // in pop order through the same core::match_watches() as the inline
-  // controller, so the merged stream equals it at any batch width.
-  std::array<std::span<const double>, core::ToneDetector::kMaxDetectBatch>
-      samples;
-  std::array<std::vector<core::DetectedTone>*,
-             core::ToneDetector::kMaxDetectBatch>
-      tone_ptrs;
-  std::array<obs::BlockSignalStats, core::ToneDetector::kMaxDetectBatch>
-      stats;
-  std::array<obs::BlockSignalStats*, core::ToneDetector::kMaxDetectBatch>
-      stats_ptrs;
-  for (std::size_t b = 0; b < count; ++b) {
-    samples[b] = scratch.blocks[b].samples;
-    tone_ptrs[b] = &scratch.tones[b];
-    stats_ptrs[b] = health_ != nullptr ? &stats[b] : nullptr;
-  }
-  detector_.detect_batch_into(
-      std::span<const std::span<const double>>(samples.data(), count),
-      std::span<std::vector<core::DetectedTone>* const>(tone_ptrs.data(),
-                                                        count),
-      health_ != nullptr
-          ? std::span<obs::BlockSignalStats* const>(stats_ptrs.data(), count)
-          : std::span<obs::BlockSignalStats* const>{});
+  obs::Span span(wall_ns);
+  // The same core::match_watches() as the inline controller, so the
+  // merged stream equals it at any worker count.
+  obs::BlockSignalStats stats;
+  detector_.detect_into(block.samples, tones,
+                        health_ != nullptr ? &stats : nullptr);
 
-  const double tolerance = detector_.config().match_tolerance_hz;
-  const double rate = detector_.config().sample_rate;
-  std::uint64_t batch_events = 0;
-  for (std::size_t b = 0; b < count; ++b) {
-    AudioBlock& block = scratch.blocks[b];
-    obs::MicSignalEstimator* est = nullptr;
-    if (health_ != nullptr) {
-      // Health estimator updates ride the block in per-mic seq order —
-      // the mic's single owning worker is the single writer, so the
-      // estimator trajectory (and any alert it queues) is deterministic
-      // regardless of worker count or batch width.
-      const double block_len_s =
-          rate > 0.0 ? static_cast<double>(block.samples.size()) / rate : 0.0;
-      est = &health_->estimator(block.mic);
-      est->begin_block(block.start_s + block_len_s, stats[b]);
-    }
-    // Journal records are minted on the owner thread at poll(), so the
-    // hook mints none and the health evidence stays the emission tag.
-    const auto to_merge = [&](const core::WatchOnset& onset) {
-      merge_.push({block.seq, block.mic,
-                   static_cast<std::uint32_t>(onset.watch), block.start_s,
-                   onset.frequency_hz, onset.amplitude, onset.cause,
-                   block.ingest});
-      return obs::CauseId{0};
-    };
-    batch_events += core::match_watches(
-        watch_hz_, scratch.tones[b],
-        std::span<const audio::EmissionTag>(block.tags.data(),
-                                            block.tag_count),
-        tolerance, latch, est, to_merge);
-    if (est != nullptr) est->end_block();
-    // Events of a block are pushed before the watermark moves past it —
-    // the merge relies on this ordering.
-    merge_.advance(block.mic, block.seq + 1);
-    // Recycle the sample buffer; if the free ring is full the buffer is
-    // simply deallocated (cold path).
-    block.samples.clear();
-    (void)free_buffers_.try_push(std::move(block.samples));
+  obs::MicSignalEstimator* est = nullptr;
+  if (health_ != nullptr) {
+    // Health estimator updates ride the block in per-mic seq order —
+    // the mic's single owning worker is the single writer, so the
+    // estimator trajectory (and any alert it queues) is deterministic
+    // regardless of worker count.
+    const double rate = detector_.config().sample_rate;
+    const double block_len_s =
+        rate > 0.0 ? static_cast<double>(block.samples.size()) / rate : 0.0;
+    est = &health_->estimator(block.mic);
+    est->begin_block(block.start_s + block_len_s, stats);
   }
+  // Journal records are minted on the owner thread at poll(), so the
+  // hook mints none and the health evidence stays the emission tag.
+  const auto to_merge = [&](const core::WatchOnset& onset) {
+    merge_.push({block.seq, block.mic, static_cast<std::uint32_t>(onset.watch),
+                 block.start_s, onset.frequency_hz, onset.amplitude,
+                 onset.cause, block.ingest});
+    return obs::CauseId{0};
+  };
+  const std::size_t events = core::match_watches(
+      watch_hz_, tones,
+      std::span<const audio::EmissionTag>(block.tags.data(), block.tag_count),
+      detector_.config().match_tolerance_hz, latch, est, to_merge);
+  if (est != nullptr) est->end_block();
+  // Events of a block are pushed before the watermark moves past it —
+  // the merge relies on this ordering.
+  merge_.advance(block.mic, block.seq + 1);
+  // Recycle the sample buffer; if the free ring is full the buffer is
+  // simply deallocated (cold path).
+  block.samples.clear();
+  (void)free_buffers_.try_push(std::move(block.samples));
 
-  // Amortised telemetry: one atomic flush per batch.
   // mo: monitoring counter, no ordering needed with other state
-  processed_.fetch_add(count, std::memory_order_relaxed);
-  processed_counter_->add(count);
-  if (batch_events > 0) events_counter_->add(batch_events);
+  processed_.fetch_add(1, std::memory_order_relaxed);
+  processed_counter_->add(1);
+  if (events > 0) events_counter_->add(events);
 }
 
 }  // namespace mdn::rt

@@ -95,18 +95,13 @@ class WorkerPool {
   /// estimator updates for every microphone (health->estimator(mic) must
   /// exist for every queue); each mic's estimator is touched only by the
   /// worker owning that mic, preserving the single-writer contract.
-  /// `batch_max` bounds how many consecutive ready blocks of one mic a
-  /// worker fuses into a single batched detection (clamped to
-  /// [1, core::ToneDetector::kMaxDetectBatch]); 1 reproduces the
-  /// one-block-one-FFT behaviour exactly.
   WorkerPool(const core::ToneDetector& detector,
              std::vector<double> watch_hz,
              std::vector<std::unique_ptr<MicQueue>>& queues,
              OrderedMerge& merge,
              RingBuffer<std::vector<double>>& free_buffers,
              std::size_t workers,
-             obs::Health* health = nullptr,
-             std::size_t batch_max = core::ToneDetector::kMaxDetectBatch);
+             obs::Health* health = nullptr);
   ~WorkerPool();
 
   WorkerPool(const WorkerPool&) = delete;
@@ -131,25 +126,13 @@ class WorkerPool {
   }
 
  private:
-  /// Per-worker batch scratch: block slots and one tone vector per slot
-  /// (grow-once; lives on the worker's stack frame for its lifetime).
-  struct BatchScratch {
-    std::array<AudioBlock, core::ToneDetector::kMaxDetectBatch> blocks;
-    std::array<std::vector<core::DetectedTone>,
-               core::ToneDetector::kMaxDetectBatch>
-        tones;
-  };
-
   void run_worker(std::size_t index);
-  /// The worker-side hot path: one batched detection over `count`
-  /// consecutive blocks of a single mic, then core::match_watches +
-  /// merge-push per block in pop (seq) order — per-block results and
-  /// merge interleaving are bit-identical to processing the blocks one
-  /// at a time.  Counter and gauge traffic is flushed once per batch, and
-  /// the per-worker wall histogram receives `count` samples of the batch
-  /// mean, so downstream consumers keep one sample per block.
-  /// Steady-state allocation-free (audited in tests/rt).
-  MDN_REALTIME void process_batch(BatchScratch& scratch, std::size_t count,
+  /// The worker-side hot path for one block: detect_into, then
+  /// core::match_watches + merge-push, then the watermark advance.
+  /// `tones` is the worker's grow-once tone vector.  Steady-state
+  /// allocation-free (audited in tests/rt).
+  MDN_REALTIME void process_block(AudioBlock& block,
+                                  std::vector<core::DetectedTone>& tones,
                                   std::span<char> latch,
                                   obs::Histogram* wall_ns);
 
@@ -160,7 +143,6 @@ class WorkerPool {
   RingBuffer<std::vector<double>>& free_buffers_;
   std::size_t workers_;
   obs::Health* health_;
-  std::size_t batch_max_;
 
   std::vector<std::thread> threads_;
   // latch_[mic][watch]: tone present in the previous block (the onset

@@ -343,94 +343,43 @@ TEST(ToneDetectorStats, NullStatsStillDetects) {
   EXPECT_TRUE(has_tone_near(out, 700.0));
 }
 
-// --- Batched detection -------------------------------------------------
-
-TEST(ToneDetectorBatch, MatchesSingleBlockDetectBitwise) {
-  // Every block in a batch must yield exactly the tones and stats a solo
-  // detect_into() yields — including stats the batch path must clear,
-  // not accumulate.  Batch sizes sweep through partial and full fusions.
+TEST(ToneDetectorStats, ReusedOutputsAreOverwrittenNotAccumulated) {
+  // A worker reuses one tone vector and one stats struct for every
+  // block: each call must yield exactly what a fresh call yields, with
+  // nothing carried over from the previous block.
   ToneDetector det;
   std::vector<audio::Waveform> waves;
   waves.push_back(tone(700.0, 0.1, 0.05));
   waves.push_back(tone(820.0, 0.2, 0.05));
   waves.push_back(audio::make_silence(0.05, kSampleRate));
+  waves.push_back(tone(700.0, 0.1, 0.025));  // off-size block
   waves.push_back(tone(1240.0, 0.05, 0.05));
-  waves.push_back(tone(940.0, 0.15, 0.05));
-  waves.push_back(tone(700.0, 0.02, 0.05));
 
-  for (std::size_t count = 1; count <= waves.size(); ++count) {
-    std::vector<std::span<const double>> blocks(count);
-    std::vector<std::vector<DetectedTone>> outs(count);
-    std::vector<std::vector<DetectedTone>*> out_ptrs(count);
-    std::vector<obs::BlockSignalStats> stats(count);
-    std::vector<obs::BlockSignalStats*> stats_ptrs(count);
-    for (std::size_t b = 0; b < count; ++b) {
-      blocks[b] = waves[b].samples();
-      out_ptrs[b] = &outs[b];
-      stats[b].rms = 99.0;  // must be overwritten
-      stats_ptrs[b] = &stats[b];
+  std::vector<DetectedTone> reused;
+  obs::BlockSignalStats reused_stats;
+  reused_stats.rms = 99.0;  // must be overwritten
+  for (std::size_t b = 0; b < waves.size(); ++b) {
+    det.detect_into(waves[b].samples(), reused, &reused_stats);
+    const ToneDetector fresh_det;
+    std::vector<DetectedTone> fresh;
+    obs::BlockSignalStats fresh_stats;
+    fresh_det.detect_into(waves[b].samples(), fresh, &fresh_stats);
+    ASSERT_EQ(reused.size(), fresh.size()) << "block " << b;
+    for (std::size_t t = 0; t < fresh.size(); ++t) {
+      EXPECT_EQ(reused[t].frequency_hz, fresh[t].frequency_hz)
+          << "block " << b << " tone " << t;
+      EXPECT_EQ(reused[t].amplitude, fresh[t].amplitude)
+          << "block " << b << " tone " << t;
     }
-    det.detect_batch_into(blocks, out_ptrs, stats_ptrs);
-
-    std::vector<DetectedTone> solo;
-    obs::BlockSignalStats solo_stats;
-    for (std::size_t b = 0; b < count; ++b) {
-      det.detect_into(blocks[b], solo, &solo_stats);
-      ASSERT_EQ(outs[b].size(), solo.size())
-          << "count=" << count << " block " << b;
-      for (std::size_t t = 0; t < solo.size(); ++t) {
-        EXPECT_EQ(outs[b][t].frequency_hz, solo[t].frequency_hz)
-            << "count=" << count << " block " << b << " tone " << t;
-        EXPECT_EQ(outs[b][t].amplitude, solo[t].amplitude)
-            << "count=" << count << " block " << b << " tone " << t;
-      }
-      EXPECT_EQ(stats[b].rms, solo_stats.rms) << "block " << b;
-      EXPECT_EQ(stats[b].peak_amplitude, solo_stats.peak_amplitude)
-          << "block " << b;
-      EXPECT_EQ(stats[b].noise_floor, solo_stats.noise_floor)
-          << "block " << b;
-    }
+    EXPECT_EQ(reused_stats.rms, fresh_stats.rms) << "block " << b;
+    EXPECT_EQ(reused_stats.peak_amplitude, fresh_stats.peak_amplitude)
+        << "block " << b;
+    EXPECT_EQ(reused_stats.noise_floor, fresh_stats.noise_floor)
+        << "block " << b;
   }
 }
 
-TEST(ToneDetectorBatch, MixedLengthBlocksFallBackPerBlock) {
-  // Unequal lengths cannot share one plan execution; the batch path must
-  // split the run and still match solo detection bitwise.
-  ToneDetector det;
-  const auto long_block = tone(820.0, 0.2, 0.05);
-  const auto short_block = tone(700.0, 0.1, 0.025);
-  const std::span<const double> blocks[] = {
-      long_block.samples(), short_block.samples(), long_block.samples()};
-  std::vector<DetectedTone> outs[3];
-  std::vector<DetectedTone>* out_ptrs[] = {&outs[0], &outs[1], &outs[2]};
-  det.detect_batch_into(blocks, out_ptrs);
-
-  std::vector<DetectedTone> solo;
-  for (std::size_t b = 0; b < 3; ++b) {
-    det.detect_into(blocks[b], solo);
-    ASSERT_EQ(outs[b].size(), solo.size()) << "block " << b;
-    for (std::size_t t = 0; t < solo.size(); ++t) {
-      EXPECT_EQ(outs[b][t].frequency_hz, solo[t].frequency_hz);
-      EXPECT_EQ(outs[b][t].amplitude, solo[t].amplitude);
-    }
-  }
-}
-
-TEST(ToneDetectorBatch, ThrowsOnSpanSizeMismatch) {
-  ToneDetector det;
-  const auto block = tone(700.0, 0.1, 0.05);
-  const std::span<const double> blocks[] = {block.samples(),
-                                            block.samples()};
-  std::vector<DetectedTone> out;
-  std::vector<DetectedTone>* out_ptrs[] = {&out};
-  EXPECT_THROW(
-      det.detect_batch_into(blocks,
-                            std::span<std::vector<DetectedTone>* const>(
-                                out_ptrs, 1)),
-      std::invalid_argument);
-}
-
-TEST(ToneDetectorBatch, WarmUpDetectsNothingAndKeepsLaterCallsIdentical) {
+TEST(ToneDetector, WarmUpDetectsNothingAndKeepsLaterCallsIdentical) {
   // warm_up() must not perturb subsequent detection results.
   ToneDetector cold;
   ToneDetector warmed;

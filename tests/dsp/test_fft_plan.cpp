@@ -1,14 +1,19 @@
 // Planned FFT engine: oracle comparison against the naive DFT, the
-// packed-real path against promote-to-complex, and the process-wide
-// plan cache contract (reuse, identical spectra, thread safety).
+// packed-real path against promote-to-complex, bit-exact agreement of
+// the fused-stage and bit-reversed-pack paths with their textbook
+// forms, and the process-wide plan cache contract (reuse, identical
+// spectra, thread safety).
 #include "dsp/fft_plan.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numbers>
 #include <thread>
 
 #include "audio/rng.h"
+#include "dsp/simd.h"
+#include "obs/metrics.h"
 
 namespace mdn::dsp {
 namespace {
@@ -142,91 +147,98 @@ TEST(RealFftPlan, ThrowsOnBadBuffers) {
   EXPECT_THROW(plan.execute(in, bins, short_scratch), std::invalid_argument);
 }
 
-TEST(FftPlan, BatchSoaMatchesSoloExecuteBitwise) {
-  // Lanes are independent channels: each lane of execute_batch_soa must
-  // produce exactly the bits execute() produces for that lane's signal,
-  // at any lane count (including lane counts that are not multiples of
-  // the vector width).
-  for (std::size_t n : {8u, 64u, 512u}) {
-    const FftPlan plan(n);
-    ASSERT_TRUE(plan.supports_batch());
-    for (std::size_t lanes : {1u, 2u, 3u, 4u, 5u, 7u}) {
-      std::vector<std::vector<Complex>> solo(lanes);
-      std::vector<double> re(n * lanes), im(n * lanes);
-      for (std::size_t l = 0; l < lanes; ++l) {
-        const auto in = random_signal(n, 3000 + n + l);
-        solo[l] = plan.transform(in);
-        for (std::size_t i = 0; i < n; ++i) {
-          re[i * lanes + l] = in[i].real();
-          im[i * lanes + l] = in[i].imag();
-        }
+void expect_bits_eq(std::span<const Complex> got,
+                    std::span<const Complex> want, std::size_t n) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].real(), want[i].real()) << "n=" << n << " bin " << i;
+    EXPECT_EQ(got[i].imag(), want[i].imag()) << "n=" << n << " bin " << i;
+  }
+}
+
+TEST(FftPlan, FusedPassesMatchStageByStageReferenceBitwise) {
+  // execute() runs the radix-2 stages fused in pairs.  The reference
+  // permutes in place and then runs one butterfly_aos pass per stage on
+  // twiddles computed the way the plan computes them; the two must agree
+  // bit for bit, forward and inverse, at odd and even stage counts.
+  const simd::Kernels& kern = simd::active_kernels();
+  for (std::size_t n = 2; n <= 4096; n <<= 1) {
+    for (const bool inverse : {false, true}) {
+      const auto in = random_signal(n, 3000 + n + inverse);
+      auto want = in;
+      for (std::size_t i = 1, j = 0; i < n; ++i) {
+        std::size_t bit = n >> 1;
+        for (; j & bit; bit >>= 1) j ^= bit;
+        j |= bit;
+        if (i < j) std::swap(want[i], want[j]);
       }
-      plan.execute_batch_soa(re, im, lanes);
-      for (std::size_t l = 0; l < lanes; ++l) {
-        for (std::size_t i = 0; i < n; ++i) {
-          EXPECT_EQ(re[i * lanes + l], solo[l][i].real())
-              << "n=" << n << " lanes=" << lanes << " lane " << l << " bin "
-              << i;
-          EXPECT_EQ(im[i * lanes + l], solo[l][i].imag())
-              << "n=" << n << " lanes=" << lanes << " lane " << l << " bin "
-              << i;
+      const double sign = inverse ? 2.0 : -2.0;
+      for (std::size_t len = 2; len <= n; len <<= 1) {
+        std::vector<Complex> tw(len / 2);
+        for (std::size_t k = 0; k < len / 2; ++k) {
+          const double angle = sign * std::numbers::pi *
+                               static_cast<double>(k) /
+                               static_cast<double>(len);
+          tw[k] = Complex{std::cos(angle), std::sin(angle)};
         }
+        kern.butterfly_aos(want.data(), n, len / 2, tw.data());
       }
+      expect_bits_eq(FftPlan(n, inverse).transform(in), want, n);
     }
   }
 }
 
-TEST(FftPlan, BatchSoaRejectsNonPow2) {
-  const FftPlan bluestein(12);
-  EXPECT_FALSE(bluestein.supports_batch());
-  std::vector<double> re(12), im(12);
-  EXPECT_THROW(bluestein.execute_batch_soa(re, im, 1), std::invalid_argument);
-}
-
-TEST(RealFftPlan, ExecuteBatchMatchesSoloExecuteBitwise) {
-  for (std::size_t n : {8u, 256u, 2048u, 4096u}) {
-    const RealFftPlan plan(n);
-    ASSERT_TRUE(plan.supports_batch());
-    for (std::size_t lanes : {1u, 2u, 3u, 4u}) {
-      std::vector<std::vector<double>> inputs(lanes);
-      std::vector<const double*> input_ptrs(lanes);
-      std::vector<std::vector<Complex>> bins(lanes);
-      std::vector<Complex*> bin_ptrs(lanes);
-      for (std::size_t l = 0; l < lanes; ++l) {
-        inputs[l] = random_real(n, 4000 + n + l);
-        input_ptrs[l] = inputs[l].data();
-        bins[l].resize(plan.bins());
-        bin_ptrs[l] = bins[l].data();
-      }
-      std::vector<double> re(plan.batch_scratch_doubles(lanes));
-      std::vector<double> im(plan.batch_scratch_doubles(lanes));
-      plan.execute_batch(input_ptrs, bin_ptrs, re, im);
-      for (std::size_t l = 0; l < lanes; ++l) {
-        const auto solo = plan.spectrum(inputs[l]);
-        ASSERT_EQ(bins[l].size(), solo.size());
-        for (std::size_t k = 0; k < solo.size(); ++k) {
-          EXPECT_EQ(bins[l][k].real(), solo[k].real())
-              << "n=" << n << " lanes=" << lanes << " lane " << l << " bin "
-              << k;
-          EXPECT_EQ(bins[l][k].imag(), solo[k].imag())
-              << "n=" << n << " lanes=" << lanes << " lane " << l << " bin "
-              << k;
-        }
-      }
+TEST(RealFftPlan, BitReversedPackMatchesPermutedHalfPlanBitwise) {
+  // execute() gathers the sample pairs straight into bit-reversed order
+  // and untangles on spelled-out doubles.  The textbook form — pack in
+  // order, a full half-size complex execute(), then the std::complex
+  // untangle — must agree bit for bit.
+  for (const std::size_t n : {4u, 8u, 256u, 2048u, 4096u, 8192u}) {
+    const auto x = random_real(n, 4000 + n);
+    const std::size_t half = n / 2;
+    std::vector<Complex> z(half);
+    for (std::size_t i = 0; i < half; ++i) z[i] = Complex{x[2 * i], x[2 * i + 1]};
+    FftPlan(half).execute(z);
+    const auto w = [n](std::size_t k) {
+      const double angle = -2.0 * std::numbers::pi * static_cast<double>(k) /
+                           static_cast<double>(n);
+      return Complex{std::cos(angle), std::sin(angle)};
+    };
+    std::vector<Complex> want(half + 1);
+    for (std::size_t k = 0; k <= half / 2; ++k) {
+      const Complex a = z[k];
+      const Complex b = std::conj(z[(half - k) % half]);
+      const Complex even = 0.5 * (a + b);
+      const Complex odd = Complex{0.0, -0.5} * (a - b);
+      want[k] = even + w(k) * odd;
+      want[half - k] = std::conj(even) + w(half - k) * std::conj(odd);
     }
+    want[half] = Complex{z[0].real() - z[0].imag(), 0.0};
+    expect_bits_eq(RealFftPlan(n).spectrum(x), want, n);
   }
 }
 
-TEST(RealFftPlan, ExecuteBatchThrowsOnShortScratch) {
-  const RealFftPlan plan(64);
-  const auto in = random_real(64, 5);
-  const double* inputs[] = {in.data()};
-  std::vector<Complex> bins(plan.bins());
-  Complex* outs[] = {bins.data()};
-  std::vector<double> re(plan.batch_scratch_doubles(1));
-  std::vector<double> im(plan.batch_scratch_doubles(1) - 1);
-  EXPECT_THROW(
-      plan.execute_batch(inputs, outs, re, im), std::invalid_argument);
+TEST(FftPlan, CountsExecutionsAndFusedPasses) {
+  // One relaxed add per counter per power-of-two execute: a 2048-point
+  // transform makes 6 passes (11 stages: one alone, five fused pairs),
+  // a 1024-point one 5; the 4096-point real plan runs its 2048-point
+  // half plan once.
+  auto& registry = obs::Registry::global();
+  const auto& executions = registry.counter("dsp/fft/executions");
+  const auto& passes = registry.counter("dsp/fft/passes");
+  const auto count = [&](auto&& run) {
+    const std::uint64_t e0 = executions.value(), p0 = passes.value();
+    run();
+    return std::pair{executions.value() - e0, passes.value() - p0};
+  };
+  const FftPlan p2048(2048), p1024(1024);
+  const RealFftPlan r4096(4096);
+  EXPECT_EQ(count([&] { p2048.transform(random_signal(2048, 1)); }),
+            (std::pair<std::uint64_t, std::uint64_t>{1, 6}));
+  EXPECT_EQ(count([&] { p1024.transform(random_signal(1024, 2)); }),
+            (std::pair<std::uint64_t, std::uint64_t>{1, 5}));
+  EXPECT_EQ(count([&] { r4096.spectrum(random_real(4096, 3)); }),
+            (std::pair<std::uint64_t, std::uint64_t>{1, 6}));
 }
 
 TEST(PlanCache, ReturnsTheSamePlanForTheSameKey) {

@@ -111,12 +111,6 @@ TEST(SimdKernels, MagScaleMatchesScalarBitwise) {
       ref.mag_scale_aos(bins.data(), scale, want.data(), n);
       k.mag_scale_aos(bins.data(), scale, got.data(), n);
       expect_bits_eq(got, want, "mag_scale_aos", isa);
-
-      const auto re = random_doubles(n, 400 + n);
-      const auto im = random_doubles(n, 500 + n);
-      ref.mag_scale_soa(re.data(), im.data(), scale, want.data(), n);
-      k.mag_scale_soa(re.data(), im.data(), scale, got.data(), n);
-      expect_bits_eq(got, want, "mag_scale_soa", isa);
     }
   }
 }
@@ -139,83 +133,88 @@ TEST(SimdKernels, CmulMatchesScalarBitwise) {
   }
 }
 
+// Stage and pair kernels sweep whole passes: `blocks` blocks of the
+// stage length, with half (or h) from kLens so odd values exercise the
+// vector kernels' tails.
+constexpr std::size_t kBlocks[] = {1, 2, 3};
+
 TEST(SimdKernels, ButterflyAosMatchesScalarBitwise) {
   const Kernels& ref = kernels_for(Isa::kScalar);
   for (Isa isa : available_isas()) {
     const Kernels& k = kernels_for(isa);
     for (std::size_t half : kLens) {
-      const auto tw = random_complex(half, 800 + half);
-      const auto a0 = random_complex(half, 900 + half);
-      const auto b0 = random_complex(half, 1000 + half);
-      auto wa = a0, wb = b0;
-      ref.butterfly_aos(wa.data(), wb.data(), tw.data(), half);
-      auto ga = a0, gb = b0;
-      k.butterfly_aos(ga.data(), gb.data(), tw.data(), half);
-      expect_bits_eq(ga, wa, "butterfly_aos a", isa);
-      expect_bits_eq(gb, wb, "butterfly_aos b", isa);
+      if (half == 0) continue;
+      for (std::size_t blocks : kBlocks) {
+        const std::size_t n = 2 * half * blocks;
+        const auto tw = random_complex(half, 800 + half);
+        const auto data = random_complex(n, 900 + n);
+        auto want = data, got = data;
+        ref.butterfly_aos(want.data(), n, half, tw.data());
+        k.butterfly_aos(got.data(), n, half, tw.data());
+        expect_bits_eq(got, want, "butterfly_aos", isa);
+      }
     }
   }
 }
 
-TEST(SimdKernels, ButterflySoaMatchesScalarBitwise) {
+TEST(SimdKernels, ButterflyPairMatchesScalarBitwise) {
   const Kernels& ref = kernels_for(Isa::kScalar);
   for (Isa isa : available_isas()) {
     const Kernels& k = kernels_for(isa);
-    for (std::size_t half : {std::size_t{1}, std::size_t{3}, std::size_t{8},
-                             std::size_t{16}}) {
-      for (std::size_t lanes : {std::size_t{1}, std::size_t{2},
-                                std::size_t{3}, std::size_t{4},
-                                std::size_t{5}, std::size_t{7}}) {
-        const std::size_t n = half * lanes;
-        const auto tw = random_complex(half, 1100 + n);
-        const auto are0 = random_doubles(n, 1200 + n);
-        const auto aim0 = random_doubles(n, 1300 + n);
-        const auto bre0 = random_doubles(n, 1400 + n);
-        const auto bim0 = random_doubles(n, 1500 + n);
-        auto w_are = are0, w_aim = aim0, w_bre = bre0, w_bim = bim0;
-        ref.butterfly_soa(w_are.data(), w_aim.data(), w_bre.data(),
-                          w_bim.data(), tw.data(), half, lanes);
-        auto g_are = are0, g_aim = aim0, g_bre = bre0, g_bim = bim0;
-        k.butterfly_soa(g_are.data(), g_aim.data(), g_bre.data(),
-                        g_bim.data(), tw.data(), half, lanes);
-        expect_bits_eq(g_are, w_are, "butterfly_soa a_re", isa);
-        expect_bits_eq(g_aim, w_aim, "butterfly_soa a_im", isa);
-        expect_bits_eq(g_bre, w_bre, "butterfly_soa b_re", isa);
-        expect_bits_eq(g_bim, w_bim, "butterfly_soa b_im", isa);
+    for (std::size_t h : kLens) {
+      if (h == 0) continue;
+      for (std::size_t blocks : kBlocks) {
+        const std::size_t n = 4 * h * blocks;
+        const auto tw1 = random_complex(h, 1100 + h);
+        const auto tw2 = random_complex(2 * h, 1200 + h);
+        const auto data = random_complex(n, 1300 + n);
+        auto want = data, got = data;
+        ref.butterfly_pair(want.data(), n, h, tw1.data(), tw2.data());
+        k.butterfly_pair(got.data(), n, h, tw1.data(), tw2.data());
+        expect_bits_eq(got, want, "butterfly_pair", isa);
       }
     }
   }
 }
 
-TEST(SimdKernels, ButterflySoaSingleLaneMatchesAos) {
-  // With one lane, SoA rows coincide with the AoS slice — both layouts
-  // must produce the same bits (this ties the batched FFT to the solo
-  // FFT arithmetic).
+TEST(SimdKernels, ButterflyPairMatchesTwoSingleStagePasses) {
+  // The fused pass is exactly stage len (= 2h) then stage 2*len, each as
+  // a butterfly_aos pass — bit for bit, under every table.  This ties the
+  // radix-2^2 FFT to the one-stage-per-pass arithmetic.
   for (Isa isa : available_isas()) {
     const Kernels& k = kernels_for(isa);
-    for (std::size_t half : {std::size_t{4}, std::size_t{9},
-                             std::size_t{16}}) {
-      const auto tw = random_complex(half, 1600 + half);
-      const auto a0 = random_complex(half, 1700 + half);
-      const auto b0 = random_complex(half, 1800 + half);
-      auto aos_a = a0, aos_b = b0;
-      k.butterfly_aos(aos_a.data(), aos_b.data(), tw.data(), half);
+    for (std::size_t h : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                          std::size_t{8}, std::size_t{32}}) {
+      for (std::size_t blocks : kBlocks) {
+        const std::size_t n = 4 * h * blocks;
+        const auto tw1 = random_complex(h, 1400 + h);
+        const auto tw2 = random_complex(2 * h, 1500 + h);
+        const auto data = random_complex(n, 1600 + n);
+        auto staged = data;
+        k.butterfly_aos(staged.data(), n, h, tw1.data());
+        k.butterfly_aos(staged.data(), n, 2 * h, tw2.data());
+        auto fused = data;
+        k.butterfly_pair(fused.data(), n, h, tw1.data(), tw2.data());
+        expect_bits_eq(fused, staged, "butterfly_pair vs two passes", isa);
+      }
+    }
+  }
+}
 
-      std::vector<double> are(half), aim(half), bre(half), bim(half);
-      for (std::size_t i = 0; i < half; ++i) {
-        are[i] = a0[i].real();
-        aim[i] = a0[i].imag();
-        bre[i] = b0[i].real();
-        bim[i] = b0[i].imag();
-      }
-      k.butterfly_soa(are.data(), aim.data(), bre.data(), bim.data(),
-                      tw.data(), half, 1);
-      for (std::size_t i = 0; i < half; ++i) {
-        EXPECT_EQ(are[i], aos_a[i].real()) << i << " " << isa_name(isa);
-        EXPECT_EQ(aim[i], aos_a[i].imag()) << i << " " << isa_name(isa);
-        EXPECT_EQ(bre[i], aos_b[i].real()) << i << " " << isa_name(isa);
-        EXPECT_EQ(bim[i], aos_b[i].imag()) << i << " " << isa_name(isa);
-      }
+TEST(SimdKernels, UntangleRealMatchesScalarBitwise) {
+  // Even and odd half sizes: the vector kernel's bin pairs, its scalar
+  // tail and the shared middle bin half/2 all get exercised.
+  const Kernels& ref = kernels_for(Isa::kScalar);
+  for (Isa isa : available_isas()) {
+    const Kernels& k = kernels_for(isa);
+    for (std::size_t half : kLens) {
+      if (half == 0) continue;
+      const auto z = random_complex(half, 1700 + half);
+      const auto w = random_complex(half + 1, 1800 + half);
+      std::vector<Complex> want(half + 1), got(half + 1);
+      ref.untangle_real(z.data(), w.data(), want.data(), half);
+      k.untangle_real(z.data(), w.data(), got.data(), half);
+      expect_bits_eq(got, want, "untangle_real", isa);
     }
   }
 }

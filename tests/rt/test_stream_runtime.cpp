@@ -97,19 +97,22 @@ struct RuntimeRun {
   StreamRuntimeStats stats;
 };
 
+/// `backlog` submits every block before start(), so the workers wake to
+/// a full ring per mic; the ring must then hold all `hops` blocks.
 RuntimeRun run_runtime(const StreamRuntimeConfig& cfg, std::size_t mics,
-                       std::uint64_t hops) {
+                       std::uint64_t hops, bool backlog = false) {
   StreamRuntime runtime(cfg);
   for (std::size_t m = 0; m < mics; ++m) {
     runtime.add_mic("mic-" + std::to_string(m));
   }
-  runtime.start();
+  if (!backlog) runtime.start();
   for (std::uint64_t hop = 0; hop < hops; ++hop) {
     for (std::uint32_t mic = 0; mic < mics; ++mic) {
       const auto block = scenario_block(mic, hop, cfg.watch_hz);
       runtime.submit_block(mic, static_cast<double>(hop) * kHopS, block);
     }
   }
+  if (backlog) runtime.start();
   runtime.finish();
   return {runtime.events(), runtime.stats()};
 }
@@ -174,39 +177,36 @@ TEST(StreamRuntime, RepeatedRunsAreBitIdentical) {
 }
 
 TEST(StreamRuntime, BatchWidthNeverChangesTheMergedStream) {
-  // batch_max=1 is the one-block-one-FFT path; wider settings fuse ready
-  // blocks into one SoA FFT.  All must match the serial reference
-  // exactly, at several worker counts.
+  // How many ready blocks a worker finds per mic when it wakes is set by
+  // the ring width (2, 4, 64 while producing live) or is the whole
+  // stream (every block queued before start()).  None of these widths
+  // may change the merged stream, at several worker counts.
   const std::size_t mics = 4;
   const std::uint64_t hops = 16;
   const auto reference = serial_reference(base_config(1), mics, hops);
   ASSERT_FALSE(reference.empty());
+  struct Width {
+    std::size_t ring;
+    bool backlog;
+  };
   for (std::size_t workers : {1u, 2u, 4u, 7u}) {
-    for (std::size_t batch : {1u, 2u, 4u}) {
+    for (const Width width : {Width{2, false}, Width{4, false},
+                              Width{64, false}, Width{64, true}}) {
       auto cfg = base_config(workers);
-      cfg.batch_max = batch;
-      const auto run = run_runtime(cfg, mics, hops);
+      cfg.ring_capacity = width.ring;
+      const auto run = run_runtime(cfg, mics, hops, width.backlog);
       const auto& events = run.events;
       ASSERT_EQ(events.size(), reference.size())
-          << "workers=" << workers << " batch_max=" << batch
-          << diagnose(run, reference);
+          << "workers=" << workers << " ring=" << width.ring
+          << " backlog=" << width.backlog << diagnose(run, reference);
       for (std::size_t i = 0; i < events.size(); ++i) {
         EXPECT_TRUE(events[i] == reference[i])
-            << "workers=" << workers << " batch_max=" << batch << " event "
-            << i << diagnose(run, reference);
+            << "workers=" << workers << " ring=" << width.ring
+            << " backlog=" << width.backlog << " event " << i
+            << diagnose(run, reference);
       }
     }
   }
-}
-
-TEST(StreamRuntime, BatchMaxIsClampedToTheDetectorLimit) {
-  auto cfg = base_config(1);
-  cfg.batch_max = 100;
-  const StreamRuntime wide(cfg);
-  EXPECT_EQ(wide.config().batch_max, core::ToneDetector::kMaxDetectBatch);
-  cfg.batch_max = 0;
-  const StreamRuntime narrow(cfg);
-  EXPECT_EQ(narrow.config().batch_max, 1u);
 }
 
 TEST(StreamRuntime, BlockPolicyLosesNothingUnderTinyRings) {
